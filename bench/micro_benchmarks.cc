@@ -50,23 +50,8 @@ void BM_LikeMatchBacktracking(benchmark::State& state) {
 }
 BENCHMARK(BM_LikeMatchBacktracking);
 
-void BM_CsvParseTyped(benchmark::State& state) {
-  std::string csv = SampleCsv(20000);
-  Schema schema = GridPocketGenerator::MeterSchema();
-  for (auto _ : state) {
-    CsvRowReader reader(csv, &schema);
-    Row row;
-    int64_t n = 0;
-    while (reader.Next(&row)) ++n;
-    benchmark::DoNotOptimize(n);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(csv.size()));
-}
-BENCHMARK(BM_CsvParseTyped);
-
 // The retired row-at-a-time engine, kept as the reference arm of the
-// columnar ablation (BM_CsvParseTyped above now adapts over batches).
+// columnar ablation.
 void BM_CsvParseRowReference(benchmark::State& state) {
   std::string csv = SampleCsv(20000);
   Schema schema = GridPocketGenerator::MeterSchema();
@@ -197,7 +182,7 @@ void BM_ParquetDecodePruned(benchmark::State& state) {
   auto encoded = ParquetEncode(schema, generator.MakeAllRows());
   std::vector<std::string> projection = {"vid", "index"};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ParquetDecode(*encoded, projection));
+    benchmark::DoNotOptimize(ParquetDecodeBatch(*encoded, projection));
   }
 }
 BENCHMARK(BM_ParquetDecodePruned);

@@ -31,8 +31,8 @@ class ColumnVector {
     return std::string_view(bytes_).substr(offsets_[i],
                                            offsets_[i + 1] - offsets_[i]);
   }
-  // The value at row `i` as a dynamically-typed Value (the row-adapter
-  // bridge; null rows yield Value::Null()).
+  // The value at row `i` as a dynamically-typed Value (the bridge
+  // RecordBatch::ExtractRow uses; null rows yield Value::Null()).
   Value GetValue(int64_t i) const;
 
   void Reserve(int64_t n);
@@ -40,7 +40,7 @@ class ColumnVector {
   void AppendInt64(int64_t v);
   void AppendDouble(double v);
   void AppendString(std::string_view v);
-  // Typed append for the row adapters. A value whose type mismatches the
+  // Typed append for RecordBatch::AppendRow. A value whose type mismatches the
   // column is converted (numeric casts; ToString() for string columns) —
   // well-typed rows round-trip exactly.
   void AppendValue(const Value& v);

@@ -10,7 +10,7 @@
 // All three produce bit-identical position streams; tests assert it.
 //
 // This header/source pair is the ONLY place allowed to include CPU
-// intrinsics headers (tools/lint.py include-hygiene enforces this), so
+// intrinsics headers (tools/scoop_check intrinsics-include enforces this), so
 // platform dispatch never leaks into the data plane.
 #ifndef SCOOP_COLUMNAR_SIMD_H_
 #define SCOOP_COLUMNAR_SIMD_H_

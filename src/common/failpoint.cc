@@ -38,7 +38,7 @@ uint64_t ReadGlobalSeed() {
   return Failpoints::kDefaultSeed;
 }
 
-// Sleeps outside any lock scope; lint forbids blocking under a MutexLock.
+// Sleeps outside any lock scope; scoop_check bans blocking under MutexLock.
 void ApplyLatency(int64_t latency_us) {
   if (latency_us > 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(latency_us));

@@ -39,7 +39,7 @@ namespace scoop {
 
 // --- Site catalog -----------------------------------------------------------
 // Every SCOOP_FAILPOINT / FailpointCheck site in the tree must use one of
-// these names: Arm() rejects unknown names and tools/lint.py cross-checks
+// these names: Arm() rejects unknown names and tools/scoop_check cross-checks
 // the sources against this list (check `failpoint-name`).
 inline constexpr const char* kFailpointSites[] = {
     "device.read",         // Device::GetShared / Get entry (keyed: device id)

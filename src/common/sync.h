@@ -8,7 +8,7 @@
 // The repo-wide synchronization layer. Every component takes its locking
 // primitives from here — raw std::mutex / std::lock_guard / std::unique_lock
 // outside this header (and sync.cc) are forbidden and rejected by
-// tools/lint.py — so that two properties hold everywhere:
+// tools/scoop_check — so that two properties hold everywhere:
 //
 //  1. Compile-time thread-safety: the wrappers carry Clang thread-safety
 //     attributes, and every class documents its locking contract with

@@ -1,10 +1,10 @@
 // The vectorized CSV scan path: one structural SIMD/SWAR pass finds
 // every delimiter, then fields are parsed straight into column vectors —
 // no per-row Row allocation, no per-field find(). Semantics are
-// bit-compatible with the row-at-a-time readers in record_reader.h
+// bit-compatible with the reference ScalarRowReader in record_reader.h
 // (blank-line skipping, CR stripping, quoted-field unescaping, malformed
 // accounting); the equivalence suite in tests/csv_test.cc holds the two
-// engines together.
+// together.
 #ifndef SCOOP_CSV_BATCH_READER_H_
 #define SCOOP_CSV_BATCH_READER_H_
 
@@ -62,7 +62,7 @@ class CsvRecordCursor {
 };
 
 // Scan statistics shared by the batch readers. `malformed_rows` counts
-// field-count mismatches (skipped), exactly like CsvRowReader.
+// field-count mismatches (skipped), exactly like ScalarRowReader.
 struct CsvScanStats {
   int64_t rows_read = 0;
   int64_t malformed_rows = 0;

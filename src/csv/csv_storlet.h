@@ -23,7 +23,9 @@ namespace scoop {
 //
 // Objects are stored without a header line; the schema always travels in
 // the request metadata (the convention the data generator and Spark-CSV
-// layer of this repository share).
+// layer of this repository share). Every parameter shape, `schema` alone
+// included, drops blank lines and records whose field count differs from
+// the schema, and ends each output record with a bare '\n'.
 //
 // Row-only filtering takes a fast path that copies matching records
 // verbatim, which is why row selectivity outperforms column selectivity

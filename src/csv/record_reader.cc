@@ -1,7 +1,6 @@
 #include "csv/record_reader.h"
 
 #include "common/strings.h"
-#include "csv/batch_reader.h"
 
 namespace scoop {
 
@@ -62,25 +61,6 @@ const std::vector<std::string_view>& CsvRecordParser::Parse(
     }
   }
   return fields_;
-}
-
-CsvRowReader::CsvRowReader(std::string_view data, const Schema* schema)
-    : reader_(std::make_unique<CsvBatchReader>(data, schema)) {}
-
-CsvRowReader::~CsvRowReader() = default;
-
-bool CsvRowReader::Next(Row* row) {
-  while (cursor_ >= batch_.num_rows()) {
-    if (!reader_->Next(&batch_)) return false;
-    cursor_ = 0;
-  }
-  batch_.ExtractRow(cursor_++, row);
-  ++rows_;
-  return true;
-}
-
-int64_t CsvRowReader::malformed_rows() const {
-  return reader_->stats().malformed_rows;
 }
 
 bool ScalarRowReader::Next(Row* row) {

@@ -2,18 +2,14 @@
 #define SCOOP_CSV_RECORD_READER_H_
 
 #include <deque>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "columnar/record_batch.h"
 #include "sql/schema.h"
 #include "sql/value.h"
 
 namespace scoop {
-
-class CsvBatchReader;
 
 // Splits one CSV record (a line without its newline) into fields.
 // Dialect: comma separator, RFC-4180 double-quote quoting with "" escapes.
@@ -29,33 +25,6 @@ class CsvRecordParser {
  private:
   std::vector<std::string_view> fields_;
   std::deque<std::string> owned_;  // unescaped quoted fields
-};
-
-// Streams typed rows out of a CSV buffer using `schema` for field types.
-// Rows with a field count different from the schema are surfaced through
-// the malformed counter and skipped (Spark-CSV permissive mode).
-//
-// DEPRECATED as an engine: since the columnar refactor this is a thin
-// adapter over CsvBatchReader (csv/batch_reader.h) — it scans a batch at
-// a time and hands out materialized rows. Behaviour and counters are
-// unchanged; new code should consume RecordBatches directly, and the
-// adapter will be retired once the remaining row-based callers migrate.
-class CsvRowReader {
- public:
-  CsvRowReader(std::string_view data, const Schema* schema);
-  ~CsvRowReader();
-
-  // Fetches the next row into `row`; false at end of input.
-  bool Next(Row* row);
-
-  int64_t malformed_rows() const;
-  int64_t rows_read() const { return rows_; }
-
- private:
-  std::unique_ptr<CsvBatchReader> reader_;
-  RecordBatch batch_;
-  int64_t cursor_ = 0;
-  int64_t rows_ = 0;
 };
 
 // The original row-at-a-time scanner, kept verbatim as the reference

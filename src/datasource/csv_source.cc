@@ -129,36 +129,4 @@ Result<PartitionScanResult> CsvDataSource::ScanPartition(
   return result;
 }
 
-Result<std::vector<Row>> CsvDataSource::ScanPrunedFiltered(
-    const std::vector<std::string>& required_columns,
-    const SourceFilter& filter, bool* filter_applied) {
-  SCOOP_ASSIGN_OR_RETURN(std::vector<Partition> partitions, Partitions());
-  std::vector<Row> rows;
-  bool all_filtered = true;
-  for (const Partition& partition : partitions) {
-    SCOOP_ASSIGN_OR_RETURN(
-        PartitionScanResult scan,
-        ScanPartition(partition, required_columns, filter));
-    all_filtered = all_filtered && scan.filter_applied;
-    scan.MaterializeRows();
-    for (Row& row : scan.rows) rows.push_back(std::move(row));
-  }
-  if (filter_applied != nullptr) {
-    *filter_applied = all_filtered && !partitions.empty();
-  }
-  return rows;
-}
-
-Result<std::vector<Row>> CsvDataSource::ScanPruned(
-    const std::vector<std::string>& required_columns) {
-  bool applied = false;
-  return ScanPrunedFiltered(required_columns, SourceFilter::True(), &applied);
-}
-
-Result<std::vector<Row>> CsvDataSource::Scan() {
-  std::vector<std::string> all;
-  for (const Column& column : schema_.columns()) all.push_back(column.name);
-  return ScanPruned(all);
-}
-
 }  // namespace scoop

@@ -31,14 +31,11 @@ struct CsvSourceOptions {
   uint64_t min_partition_bytes = 256 * 1024;
 };
 
-// The extended Spark-CSV data source: implements PrunedFilteredScan by
-// delegating projections and selections to OpenStack Swift through
-// Stocator (paper §V-A). Objects under container/prefix hold headerless
-// CSV with `schema` columns.
-class CsvDataSource : public PrunedFilteredScan,
-                      public PrunedScan,
-                      public TableScan,
-                      public PartitionedRelation {
+// The extended Spark-CSV data source: delegates the scan's projections
+// and selections to OpenStack Swift through Stocator (paper §V-A).
+// Objects under container/prefix hold headerless CSV with `schema`
+// columns.
+class CsvDataSource : public PartitionedRelation {
  public:
   CsvDataSource(Stocator* stocator, std::string container, std::string prefix,
                 Schema schema, CsvSourceOptions options)
@@ -63,13 +60,6 @@ class CsvDataSource : public PrunedFilteredScan,
   // degrade to the row scan when pushdown declines or faults.
   Result<PartitionScanResult> ScanPartition(const Partition& partition,
                                             const ScanSpec& spec) override;
-
-  Result<std::vector<Row>> Scan() override;
-  Result<std::vector<Row>> ScanPruned(
-      const std::vector<std::string>& required_columns) override;
-  Result<std::vector<Row>> ScanPrunedFiltered(
-      const std::vector<std::string>& required_columns,
-      const SourceFilter& filter, bool* filter_applied) override;
 
  private:
   Stocator* stocator_;

@@ -10,25 +10,16 @@
 #include "sql/agg_wire.h"
 #include "sql/schema.h"
 #include "sql/source_filter.h"
-#include "sql/value.h"
 
 namespace scoop {
 
 // The Data Sources API (paper §III-A / §V-A), mirrored from Spark SQL.
-// A relation exposes its schema and one or more scan flavours; the engine
-// picks the richest one the relation implements:
-//
-//   TableScan          — return everything.
-//   PrunedScan         — return only the required columns.
-//   PrunedFilteredScan — additionally receive the selection filters, and
-//                        *may* evaluate them (sources are allowed to
-//                        return unfiltered rows; the engine re-applies
-//                        filters compute-side unless the scan reports
-//                        them as handled).
-//
-// Partition-level access (PartitionedRelation) is what the distributed
-// executor drives; the whole-relation Scan methods are convenience
-// wrappers over it.
+// A relation exposes its schema, its partitions, and a partition scan
+// that receives Spark's PrunedFilteredScan hints: the required columns
+// and the selection filter. A source *may* evaluate the filter (sources
+// are allowed to return unfiltered rows; the engine re-applies filters
+// compute-side unless the scan reports them as handled through
+// PartitionScanResult::filter_applied).
 
 // Everything the engine can push into one partition scan: the classic
 // projection/selection hints plus the aggregation/limit extensions. A
@@ -49,19 +40,14 @@ struct ScanSpec {
 };
 
 struct PartitionScanResult {
-  // Typed rows in required-column order. Sources on the columnar plane
-  // leave this empty and fill `batches` instead; a scan never populates
-  // both for the same records.
-  std::vector<Row> rows;
-  // Typed RecordBatches in required-column order — the columnar plane's
-  // native product.
+  // Typed RecordBatches in required-column order.
   std::vector<RecordBatch> batches;
   // True when the source already applied the selection filter exactly.
   bool filter_applied = false;
   // Aggregation pushdown: when `agg_applied` the partition arrived as
-  // per-group partial AggStates — `rows`/`batches` stay empty and
-  // `agg_rows` counts the selection-surviving rows folded into the
-  // states (the scan's contribution to rows_seen/rows_passed).
+  // per-group partial AggStates — `batches` stays empty and `agg_rows`
+  // counts the selection-surviving rows folded into the states (the
+  // scan's contribution to rows_seen/rows_passed).
   std::vector<AggPartialGroup> agg_groups;
   int64_t agg_rows = 0;
   bool agg_applied = false;
@@ -75,55 +61,17 @@ struct PartitionScanResult {
   int requests = 0;
 
   int64_t TotalRows() const {
-    int64_t n = static_cast<int64_t>(rows.size());
+    int64_t n = 0;
     for (const RecordBatch& b : batches) n += b.num_rows();
     return n;
   }
-
-  // Flattens `batches` into `rows` (appended) — the bridge for callers
-  // still on the row-at-a-time API.
-  void MaterializeRows() {
-    Row row;
-    for (const RecordBatch& b : batches) {
-      for (int64_t i = 0; i < b.num_rows(); ++i) {
-        b.ExtractRow(i, &row);
-        rows.push_back(row);
-      }
-    }
-    batches.clear();
-  }
 };
 
-class BaseRelation {
+class PartitionedRelation {
  public:
-  virtual ~BaseRelation() = default;
+  virtual ~PartitionedRelation() = default;
   virtual const Schema& schema() const = 0;
-};
 
-class TableScan : public virtual BaseRelation {
- public:
-  // All rows, full schema.
-  virtual Result<std::vector<Row>> Scan() = 0;
-};
-
-class PrunedScan : public virtual BaseRelation {
- public:
-  // All rows, pruned to `required_columns` (in that order).
-  virtual Result<std::vector<Row>> ScanPruned(
-      const std::vector<std::string>& required_columns) = 0;
-};
-
-class PrunedFilteredScan : public virtual BaseRelation {
- public:
-  // Pruned and (best-effort) filtered rows. `filter_applied` reports
-  // whether `filter` was evaluated exactly by the source.
-  virtual Result<std::vector<Row>> ScanPrunedFiltered(
-      const std::vector<std::string>& required_columns,
-      const SourceFilter& filter, bool* filter_applied) = 0;
-};
-
-class PartitionedRelation : public virtual BaseRelation {
- public:
   // Partition discovery (runs before the query is known, §V-B).
   virtual Result<std::vector<Partition>> Partitions() = 0;
 

@@ -52,11 +52,6 @@ Result<ParquetInfo> ParquetInspect(std::string_view data);
 Result<RecordBatch> ParquetDecodeBatch(
     std::string_view data, const std::vector<std::string>& required_columns);
 
-// Row-at-a-time adapter over ParquetDecodeBatch (deprecated as an
-// engine; kept for the remaining row-based callers).
-Result<std::vector<Row>> ParquetDecode(
-    std::string_view data, const std::vector<std::string>& required_columns);
-
 // True when `filter` provably matches no row of an object with `stats`
 // (conservative: false whenever unsure). Enables row-group skipping.
 bool ParquetCanSkip(const SourceFilter& filter, const Schema& schema,

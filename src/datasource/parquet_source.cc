@@ -49,26 +49,6 @@ Result<PartitionScanResult> ParquetDataSource::ScanPartition(
   return result;
 }
 
-Result<std::vector<Row>> ParquetDataSource::ScanPruned(
-    const std::vector<std::string>& required_columns) {
-  SCOOP_ASSIGN_OR_RETURN(std::vector<Partition> partitions, Partitions());
-  std::vector<Row> rows;
-  for (const Partition& partition : partitions) {
-    SCOOP_ASSIGN_OR_RETURN(
-        PartitionScanResult scan,
-        ScanPartition(partition, required_columns, SourceFilter::True()));
-    scan.MaterializeRows();
-    for (Row& row : scan.rows) rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-Result<std::vector<Row>> ParquetDataSource::Scan() {
-  std::vector<std::string> all;
-  for (const Column& column : schema_.columns()) all.push_back(column.name);
-  return ScanPruned(all);
-}
-
 Status WriteParquetObject(SwiftClient* client, const std::string& container,
                           const std::string& object, const Schema& schema,
                           const std::vector<Row>& rows) {

@@ -14,9 +14,7 @@ namespace scoop {
 // decompresses and prunes columns; row filters stay compute-side (so
 // ScanPartition never reports filter_applied). Optional min/max row-group
 // skipping avoids transferring objects a predicate cannot match.
-class ParquetDataSource : public PrunedScan,
-                          public TableScan,
-                          public PartitionedRelation {
+class ParquetDataSource : public PartitionedRelation {
  public:
   ParquetDataSource(SwiftClient* client, std::string container,
                     std::string prefix, Schema schema,
@@ -37,10 +35,6 @@ class ParquetDataSource : public PrunedScan,
       const Partition& partition,
       const std::vector<std::string>& required_columns,
       const SourceFilter& filter) override;
-
-  Result<std::vector<Row>> Scan() override;
-  Result<std::vector<Row>> ScanPruned(
-      const std::vector<std::string>& required_columns) override;
 
  private:
   SwiftClient* client_;

@@ -14,7 +14,8 @@ namespace scoop {
 
 // The role Catalyst plays for Scoop (paper §III-A): given a query, extract
 // the projection and selection filters implied by it, so the data source —
-// through the PrunedFilteredScan API — can push them down to the store.
+// through PartitionedRelation::ScanPartition — can push them down to the
+// store.
 struct PushdownExtraction {
   // Columns the scan must produce, in table-schema order. Includes every
   // column referenced anywhere in the query (filter columns too, since the

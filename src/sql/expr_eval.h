@@ -21,7 +21,7 @@ Status BindExpr(Expr* expr, const Schema& schema);
 // Semantics (documented deviations from full SQL three-valued logic):
 //  * comparisons with a null operand evaluate to false (not UNKNOWN);
 //  * NOT is classical negation of that boolean;
-// identical semantics are implemented by SourceFilter::Matches at the
+// identical semantics are implemented by SourceFilter::MatchRows at the
 // storage side, so pushed and residual evaluation always agree.
 Value EvalExpr(const Expr& expr, const Row& row);
 

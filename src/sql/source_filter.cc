@@ -23,7 +23,13 @@ class SexpParser {
  public:
   explicit SexpParser(std::string_view text) : text_(text) {}
 
-  Result<SourceFilter> ParseFilter() {
+  // `depth` counts this expression's enclosing parentheses, itself
+  // included.
+  Result<SourceFilter> ParseFilter(int depth = 1) {
+    if (depth > SourceFilter::kMaxParseDepth) {
+      return Status::InvalidArgument(StrFormat(
+          "filter nested deeper than %d", SourceFilter::kMaxParseDepth));
+    }
     SkipSpace();
     if (!Consume('(')) return Status::InvalidArgument("expected '('");
     SCOOP_ASSIGN_OR_RETURN(std::string op_name, ParseToken());
@@ -35,7 +41,7 @@ class SexpParser {
                                    : SourceFilter::Op::kOr;
       SkipSpace();
       while (!AtEnd() && Peek() == '(') {
-        SCOOP_ASSIGN_OR_RETURN(SourceFilter child, ParseFilter());
+        SCOOP_ASSIGN_OR_RETURN(SourceFilter child, ParseFilter(depth + 1));
         filter.children.push_back(std::move(child));
         SkipSpace();
       }
@@ -44,7 +50,7 @@ class SexpParser {
       }
     } else if (op_name == "not") {
       SkipSpace();
-      SCOOP_ASSIGN_OR_RETURN(SourceFilter child, ParseFilter());
+      SCOOP_ASSIGN_OR_RETURN(SourceFilter child, ParseFilter(depth + 1));
       filter.op = SourceFilter::Op::kNot;
       filter.children.push_back(std::move(child));
     } else if (op_name == "isnull" || op_name == "notnull") {
@@ -259,71 +265,6 @@ Result<SourceFilter> SourceFilter::Parse(std::string_view text) {
   return filter;
 }
 
-bool SourceFilter::Matches(const std::vector<std::string_view>& fields,
-                           const Schema& schema) const {
-  switch (op) {
-    case Op::kTrue:
-      return true;
-    case Op::kAnd:
-      for (const SourceFilter& child : children) {
-        if (!child.Matches(fields, schema)) return false;
-      }
-      return true;
-    case Op::kOr:
-      for (const SourceFilter& child : children) {
-        if (child.Matches(fields, schema)) return true;
-      }
-      return false;
-    case Op::kNot:
-      return !children[0].Matches(fields, schema);
-    default:
-      break;
-  }
-  int idx = schema.IndexOf(column);
-  if (idx < 0 || static_cast<size_t>(idx) >= fields.size()) return false;
-  std::string_view field = fields[static_cast<size_t>(idx)];
-  if (op == Op::kIsNull) return field.empty();
-  if (op == Op::kIsNotNull) return !field.empty();
-  if (field.empty()) return false;  // SQL null never satisfies a comparison
-  if (op == Op::kLike) return LikeMatch(field, literal);
-
-  int cmp;
-  if (literal_is_number) {
-    double field_num;
-    if (!FastParseDouble(field, &field_num)) {
-      auto parsed = ParseDouble(field);
-      if (!parsed.ok()) return false;
-      field_num = *parsed;
-    }
-    double lit_num;
-    if (!FastParseDouble(literal, &lit_num)) {
-      auto parsed = ParseDouble(literal);
-      if (!parsed.ok()) return false;
-      lit_num = *parsed;
-    }
-    cmp = field_num < lit_num ? -1 : (field_num > lit_num ? 1 : 0);
-  } else {
-    cmp = field.compare(literal);
-    cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-  }
-  switch (op) {
-    case Op::kEq:
-      return cmp == 0;
-    case Op::kNe:
-      return cmp != 0;
-    case Op::kLt:
-      return cmp < 0;
-    case Op::kLe:
-      return cmp <= 0;
-    case Op::kGt:
-      return cmp > 0;
-    case Op::kGe:
-      return cmp >= 0;
-    default:
-      return false;
-  }
-}
-
 namespace {
 
 bool CompareMatches(SourceFilter::Op op, int cmp) {
@@ -345,8 +286,8 @@ bool CompareMatches(SourceFilter::Op op, int cmp) {
   }
 }
 
-// Sets mask[i] to whether row rows[i] matches `filter`. Same semantics
-// as Matches, evaluated structure-at-a-time over the candidate rows.
+// Sets mask[i] to whether row rows[i] matches `filter`, evaluated
+// structure-at-a-time over the candidate rows.
 void EvalFilterMask(const SourceFilter& filter, const std::string_view* fields,
                     size_t num_fields, const Schema& schema,
                     const std::vector<uint32_t>& rows,

@@ -14,7 +14,7 @@ namespace scoop {
 
 // The stable filter representation handed from the Catalyst-like optimizer
 // to data sources — the analogue of Spark's `sources.Filter` hierarchy that
-// the PrunedFilteredScan API receives. It also defines the wire format
+// PartitionedRelation::ScanPartition receives. It also defines the wire format
 // Stocator piggybacks on object requests: Serialize() produces the
 // s-expression placed in the X-Storlet-Parameter-Selection header, which
 // the CSV storlet Parse()s and evaluates against raw CSV fields.
@@ -51,23 +51,23 @@ struct SourceFilter {
 
   bool IsTrue() const { return op == Op::kTrue; }
 
+  // Parse rejects text nested more than this many parentheses deep: the
+  // text arrives in a client-supplied header, and the parser recurses once
+  // per level.
+  static constexpr int kMaxParseDepth = 256;
+
   // S-expression wire form, e.g.
   //   (and (like city "Rotterdam") (ge index 100))
   std::string Serialize() const;
   static Result<SourceFilter> Parse(std::string_view text);
 
-  // Evaluates the filter against one CSV record's raw fields, using
-  // `schema` for column positions. Missing/empty fields are SQL nulls:
+  // Evaluates the filter against raw CSV fields. `fields` is a row-major
+  // array of `num_fields` fields per row, `schema` gives column positions,
+  // and `selection` holds candidate row indices into it; it is narrowed to
+  // the rows this filter matches. Missing/empty fields are SQL nulls:
   // comparisons against them are false. Numeric comparisons parse the
-  // field; an unparseable field never matches.
-  bool Matches(const std::vector<std::string_view>& fields,
-               const Schema& schema) const;
-
-  // Batched Matches: `fields` is a row-major array of `num_fields` raw
-  // fields per row, and `selection` holds candidate row indices into it.
-  // Narrows `selection` to the rows this filter matches, with per-filter
-  // work (column lookup, literal parse) hoisted out of the row loop.
-  // Row-for-row identical to calling Matches on each record.
+  // field; an unparseable field never matches. Per-filter work (column
+  // lookup, literal parse) is hoisted out of the row loop.
   void MatchRows(const std::string_view* fields, size_t num_fields,
                  const Schema& schema, std::vector<uint32_t>* selection) const;
 

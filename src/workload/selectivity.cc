@@ -26,6 +26,7 @@ Result<SelectivityReport> MeasureSelectivity(const std::string& sql,
   CsvRecordParser parser;
   size_t pos = 0;
   Row scan_row;
+  std::vector<uint32_t> selected;
   while (pos < data.size()) {
     size_t nl = data.find('\n', pos);
     std::string_view line = nl == std::string_view::npos
@@ -48,7 +49,10 @@ Result<SelectivityReport> MeasureSelectivity(const std::string& sql,
     required_bytes_all_rows += projected;
 
     // Row filter: the real pushed filter + residual conjuncts.
-    bool passes = plan->pushed_filter().Matches(fields, schema);
+    selected.assign(1, 0);
+    plan->pushed_filter().MatchRows(fields.data(), fields.size(), schema,
+                                    &selected);
+    bool passes = !selected.empty();
     if (passes) {
       scan_row.clear();
       for (size_t i = 0; i < required.size(); ++i) {

@@ -51,7 +51,7 @@ TEST(CsvWriterTest, RoundTripsThroughParser) {
   for (size_t i = 0; i < fields.size(); ++i) EXPECT_EQ(parsed[i], fields[i]);
 }
 
-TEST(CsvRowReaderTest, TypedRowsAndMalformed) {
+TEST(CsvBatchReaderTest, TypedRowsAndMalformed) {
   Schema schema({{"id", ColumnType::kInt64},
                  {"name", ColumnType::kString},
                  {"score", ColumnType::kDouble}});
@@ -62,12 +62,14 @@ TEST(CsvRowReaderTest, TypedRowsAndMalformed) {
       "3,carol,notnum\n" // unparseable double -> null
       "\n"               // blank line skipped
       "4,dave,1.25";     // unterminated final record
-  CsvRowReader reader(data, &schema);
+  CsvBatchReader reader(data, &schema);
   std::vector<Row> rows;
-  Row row;
-  while (reader.Next(&row)) rows.push_back(row);
+  RecordBatch batch;
+  while (reader.Next(&batch)) {
+    for (Row& row : batch.ToRows()) rows.push_back(std::move(row));
+  }
   ASSERT_EQ(rows.size(), 4u);
-  EXPECT_EQ(reader.malformed_rows(), 1);
+  EXPECT_EQ(reader.stats().malformed_rows, 1);
   EXPECT_EQ(rows[0][0].AsInt64(), 1);
   EXPECT_EQ(rows[0][1].AsString(), "alice");
   EXPECT_DOUBLE_EQ(rows[0][2].AsDoubleExact(), 3.5);
@@ -76,19 +78,20 @@ TEST(CsvRowReaderTest, TypedRowsAndMalformed) {
   EXPECT_EQ(rows[3][0].AsInt64(), 4);
 }
 
-TEST(CsvRowReaderTest, HandlesCrLf) {
+TEST(CsvBatchReaderTest, HandlesCrLf) {
   Schema schema({{"a", ColumnType::kString}});
-  CsvRowReader reader("x\r\ny\r\n", &schema);
-  Row row;
-  ASSERT_TRUE(reader.Next(&row));
-  EXPECT_EQ(row[0].AsString(), "x");
-  ASSERT_TRUE(reader.Next(&row));
-  EXPECT_EQ(row[0].AsString(), "y");
-  EXPECT_FALSE(reader.Next(&row));
+  CsvBatchReader reader("x\r\ny\r\n", &schema);
+  RecordBatch batch;
+  ASSERT_TRUE(reader.Next(&batch));
+  std::vector<Row> rows = batch.ToRows();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][0].AsString(), "x");
+  EXPECT_EQ(rows[1][0].AsString(), "y");
+  EXPECT_FALSE(reader.Next(&batch));
 }
 
 // --- batch/row engine equivalence ------------------------------------------
-// The columnar scanner must be bit-compatible with the legacy row engine:
+// The columnar scanner must be bit-compatible with ScalarRowReader:
 // same typed values, same nulls, same malformed accounting, whatever the
 // dialect corner (quoted fields, CRLF, blanks) or schema shape.
 
@@ -293,32 +296,39 @@ TEST_F(CsvStorletTest, MalformedRowsDroppedWhenFiltering) {
   EXPECT_EQ(*out, "1\n2\n");
 }
 
-TEST_F(CsvStorletTest, RowEngineMatchesBatchEngineByteForByte) {
-  // engine=row keeps the pre-columnar loop; the default engine runs the
-  // stream batcher. Every param shape must produce identical bytes.
+TEST_F(CsvStorletTest, OutputBytesPinnedForEveryParameterShape) {
+  // A quoted comma, a malformed row, a blank line and a CRLF line. Every
+  // shape, `schema` alone included, drops the malformed and blank lines
+  // and ends each record with a bare '\n'.
   const std::string data =
       "1,Paris,10.5\n"
       "2,\"Rotter,dam\",20.0\n"
       "broken\n"
-      "3,Rotterdam,30.25\n"
+      "3,Rotterdam,30.25\r\n"
       "\n"
       "4,Nice,40.0\n";
-  const std::vector<StorletParams> shapes = {
-      {{"schema", schema_spec_}},
-      {{"schema", schema_spec_}, {"selection", "(gt load 15)"}},
-      {{"schema", schema_spec_}, {"projection", "city,vid"}},
-      {{"schema", schema_spec_},
-       {"projection", "load"},
-       {"selection", "(like city \"Rotter%\")"}},
+  const std::vector<std::pair<StorletParams, std::string>> shapes = {
+      {{{"schema", schema_spec_}},
+       "1,Paris,10.5\n2,\"Rotter,dam\",20.0\n3,Rotterdam,30.25\n"
+       "4,Nice,40.0\n"},
+      {{{"schema", schema_spec_}, {"selection", "(gt load 15)"}},
+       "2,\"Rotter,dam\",20.0\n3,Rotterdam,30.25\n4,Nice,40.0\n"},
+      {{{"schema", schema_spec_}, {"projection", "city,vid"}},
+       "Paris,1\n\"Rotter,dam\",2\nRotterdam,3\nNice,4\n"},
+      {{{"schema", schema_spec_},
+        {"projection", "load"},
+        {"selection", "(like city \"Rotter%\")"}},
+       "20.0\n30.25\n"},
+      {{{"schema", schema_spec_},
+        {"projection", "city"},
+        {"selection", "(gt load 15)"},
+        {"limit", "2"}},
+       "\"Rotter,dam\"\nRotterdam\n"},
   };
-  for (const StorletParams& shape : shapes) {
-    StorletParams row_params = shape;
-    row_params["engine"] = "row";
-    auto batch_out = Run(data, shape);
-    auto row_out = Run(data, row_params);
-    ASSERT_TRUE(batch_out.ok()) << batch_out.status();
-    ASSERT_TRUE(row_out.ok()) << row_out.status();
-    EXPECT_EQ(*batch_out, *row_out);
+  for (const auto& [params, expected] : shapes) {
+    auto out = Run(data, params);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(*out, expected);
   }
 }
 

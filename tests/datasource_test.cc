@@ -14,6 +14,28 @@
 namespace scoop {
 namespace {
 
+// Scans every partition of `relation` and flattens the batches into rows.
+// `filter_applied` reports whether every partition applied `filter` at
+// the source.
+Result<std::vector<Row>> ScanAll(PartitionedRelation* relation,
+                                 const std::vector<std::string>& required,
+                                 const SourceFilter& filter,
+                                 bool* filter_applied) {
+  SCOOP_ASSIGN_OR_RETURN(std::vector<Partition> partitions,
+                         relation->Partitions());
+  std::vector<Row> rows;
+  *filter_applied = !partitions.empty();
+  for (const Partition& partition : partitions) {
+    SCOOP_ASSIGN_OR_RETURN(PartitionScanResult scan,
+                           relation->ScanPartition(partition, required, filter));
+    *filter_applied = *filter_applied && scan.filter_applied;
+    for (const RecordBatch& batch : scan.batches) {
+      for (Row& row : batch.ToRows()) rows.push_back(std::move(row));
+    }
+  }
+  return rows;
+}
+
 class DatasourceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -145,7 +167,12 @@ TEST_F(DatasourceTest, CsvSourceScanEqualsGeneratedData) {
   options.chunk_size = 2048;
   CsvDataSource source(&stocator, "meters", "m",
                        GridPocketGenerator::MeterSchema(), options);
-  auto rows = source.Scan();
+  std::vector<std::string> all;
+  for (const Column& column : source.schema().columns()) {
+    all.push_back(column.name);
+  }
+  bool applied = false;
+  auto rows = ScanAll(&source, all, SourceFilter::True(), &applied);
   ASSERT_TRUE(rows.ok()) << rows.status();
   EXPECT_EQ(rows->size(), static_cast<size_t>(generator.TotalRows()));
 }
@@ -166,7 +193,7 @@ TEST_F(DatasourceTest, CsvSourcePushdownAndPlainAgree) {
   pushdown_options.pushdown_enabled = true;
   CsvDataSource pushdown(&stocator, "meters", "m", schema, pushdown_options);
   bool applied = false;
-  auto filtered = pushdown.ScanPrunedFiltered(required, *filter, &applied);
+  auto filtered = ScanAll(&pushdown, required, *filter, &applied);
   ASSERT_TRUE(filtered.ok()) << filtered.status();
   EXPECT_TRUE(applied);
 
@@ -175,8 +202,7 @@ TEST_F(DatasourceTest, CsvSourcePushdownAndPlainAgree) {
   plain_options.pushdown_enabled = false;
   CsvDataSource plain(&stocator, "meters", "m", schema, plain_options);
   bool plain_applied = true;
-  auto unfiltered = plain.ScanPrunedFiltered(required, *filter,
-                                             &plain_applied);
+  auto unfiltered = ScanAll(&plain, required, *filter, &plain_applied);
   ASSERT_TRUE(unfiltered.ok());
   EXPECT_FALSE(plain_applied);
 
@@ -189,7 +215,9 @@ TEST_F(DatasourceTest, CsvSourcePushdownAndPlainAgree) {
     std::vector<std::string_view> views;
     for (const Value& v : row) rendered.push_back(v.ToString());
     for (const std::string& s : rendered) views.push_back(s);
-    if (filter->Matches(views, pruned)) expected.push_back(row);
+    std::vector<uint32_t> selected = {0};
+    filter->MatchRows(views.data(), views.size(), pruned, &selected);
+    if (!selected.empty()) expected.push_back(row);
   }
   ASSERT_EQ(filtered->size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -218,7 +246,8 @@ TEST_F(DatasourceTest, ParquetSourceRoundtrip) {
   auto partitions = source.Partitions();
   ASSERT_TRUE(partitions.ok());
   EXPECT_EQ(partitions->size(), 2u);
-  auto all = source.ScanPruned({"vid", "city"});
+  bool applied = false;
+  auto all = ScanAll(&source, {"vid", "city"}, SourceFilter::True(), &applied);
   ASSERT_TRUE(all.ok());
   ASSERT_EQ(all->size(), rows.size());
   EXPECT_EQ((*all)[0][1].AsString(), rows[0][7].AsString());

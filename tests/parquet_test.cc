@@ -99,12 +99,13 @@ TEST(ParquetTest, RoundtripAllColumns) {
   std::vector<Row> rows = TestRows(500);
   auto encoded = ParquetEncode(schema, rows);
   ASSERT_TRUE(encoded.ok());
-  auto decoded = ParquetDecode(*encoded, {});
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->size(), rows.size());
+  auto batch = ParquetDecodeBatch(*encoded, {});
+  ASSERT_TRUE(batch.ok());
+  std::vector<Row> decoded = batch->ToRows();
+  ASSERT_EQ(decoded.size(), rows.size());
   for (size_t r = 0; r < rows.size(); ++r) {
     for (size_t c = 0; c < schema.size(); ++c) {
-      EXPECT_EQ((*decoded)[r][c].Compare(rows[r][c]), 0)
+      EXPECT_EQ(decoded[r][c].Compare(rows[r][c]), 0)
           << "row " << r << " col " << c;
     }
   }
@@ -115,12 +116,13 @@ TEST(ParquetTest, ColumnPruning) {
   std::vector<Row> rows = TestRows(100);
   auto encoded = ParquetEncode(schema, rows);
   ASSERT_TRUE(encoded.ok());
-  auto decoded = ParquetDecode(*encoded, {"load", "vid"});
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ((*decoded)[1].size(), 2u);
-  EXPECT_EQ((*decoded)[1][0].Compare(rows[1][2]), 0);  // load first
-  EXPECT_EQ((*decoded)[1][1].Compare(rows[1][0]), 0);  // vid second
-  EXPECT_FALSE(ParquetDecode(*encoded, {"ghost"}).ok());
+  auto batch = ParquetDecodeBatch(*encoded, {"load", "vid"});
+  ASSERT_TRUE(batch.ok());
+  std::vector<Row> decoded = batch->ToRows();
+  ASSERT_EQ(decoded[1].size(), 2u);
+  EXPECT_EQ(decoded[1][0].Compare(rows[1][2]), 0);  // load first
+  EXPECT_EQ(decoded[1][1].Compare(rows[1][0]), 0);  // vid second
+  EXPECT_FALSE(ParquetDecodeBatch(*encoded, {"ghost"}).ok());
 }
 
 TEST(ParquetTest, DictionaryEncodingKicksIn) {
@@ -133,10 +135,11 @@ TEST(ParquetTest, DictionaryEncodingKicksIn) {
   auto encoded = ParquetEncode(schema, rows);
   ASSERT_TRUE(encoded.ok());
   EXPECT_LT(encoded->size(), 5000u);  // < 1 byte per row
-  auto decoded = ParquetDecode(*encoded, {});
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ((*decoded)[1][0].AsString(), "Rotterdam");
-  EXPECT_EQ((*decoded)[2][0].AsString(), "Paris");
+  auto batch = ParquetDecodeBatch(*encoded, {});
+  ASSERT_TRUE(batch.ok());
+  std::vector<Row> decoded = batch->ToRows();
+  EXPECT_EQ(decoded[1][0].AsString(), "Rotterdam");
+  EXPECT_EQ(decoded[2][0].AsString(), "Paris");
 }
 
 TEST(ParquetTest, InspectReportsSchemaStatsAndRows) {
@@ -184,12 +187,12 @@ TEST(ParquetTest, RejectsCorruptObjects) {
   auto encoded = ParquetEncode(schema, TestRows(10));
   ASSERT_TRUE(encoded.ok());
   std::string truncated = encoded->substr(0, encoded->size() / 2);
-  EXPECT_FALSE(ParquetDecode(truncated, {}).ok());
+  EXPECT_FALSE(ParquetDecodeBatch(truncated, {}).ok());
   // A row count (u64 after the magic and the column count) far beyond
   // what the column blocks hold is rejected before it sizes anything.
   std::string inflated = *encoded;
   inflated[8 + 5] = 0x01;  // rows += 2^40
-  EXPECT_FALSE(ParquetDecode(inflated, {}).ok());
+  EXPECT_FALSE(ParquetDecodeBatch(inflated, {}).ok());
 
   // A well-formed dictionary page: one entry, then 20 codes.
   std::string page;
@@ -198,35 +201,36 @@ TEST(ParquetTest, RejectsCorruptObjects) {
   page += "7";
   for (int r = 0; r < 20; ++r) PutLe(&page, 0, 2);
   std::string on_string = OneColumnObject(ColumnType::kString, 1, page);
-  EXPECT_TRUE(ParquetDecode(on_string, {}).ok());
+  EXPECT_TRUE(ParquetDecodeBatch(on_string, {}).ok());
   // Dictionary pages hold strings only: on an int64 or double column the
   // same page is rejected, not decoded into a column without numbers.
   std::string on_int = OneColumnObject(ColumnType::kInt64, 1, page);
   EXPECT_FALSE(ParquetInspect(on_int).ok());
   std::string on_double = OneColumnObject(ColumnType::kDouble, 1, page);
-  EXPECT_FALSE(ParquetDecode(on_double, {}).ok());
+  EXPECT_FALSE(ParquetDecodeBatch(on_double, {}).ok());
   // So is vid (int64, the first column) with its encoding byte flipped.
   std::string vid_dict = *encoded;
   vid_dict[16 + 4 + 3 + 1] = 1;
-  EXPECT_FALSE(ParquetDecode(vid_dict, {}).ok());
+  EXPECT_FALSE(ParquetDecodeBatch(vid_dict, {}).ok());
   // An unknown encoding is rejected too.
   std::string unknown = OneColumnObject(ColumnType::kString, 2, page);
-  EXPECT_FALSE(ParquetDecode(unknown, {}).ok());
+  EXPECT_FALSE(ParquetDecodeBatch(unknown, {}).ok());
   // A dictionary size beyond what the page holds is rejected before it
   // sizes the dictionary.
   std::string huge_page = page;
   huge_page.replace(0, 4, 4, '\xff');
   std::string huge = OneColumnObject(ColumnType::kString, 1, huge_page);
-  EXPECT_FALSE(ParquetDecode(huge, {}).ok());
+  EXPECT_FALSE(ParquetDecodeBatch(huge, {}).ok());
 }
 
 TEST(ParquetTest, EmptyTable) {
   Schema schema = TestSchema();
   auto encoded = ParquetEncode(schema, {});
   ASSERT_TRUE(encoded.ok());
-  auto decoded = ParquetDecode(*encoded, {});
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->empty());
+  auto batch = ParquetDecodeBatch(*encoded, {});
+  ASSERT_TRUE(batch.ok());
+  std::vector<Row> decoded = batch->ToRows();
+  EXPECT_TRUE(decoded.empty());
 }
 
 TEST(ParquetTest, RowWidthMismatchRejected) {

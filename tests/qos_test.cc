@@ -8,13 +8,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "common/sync.h"
 #include "objectstore/auth.h"
 #include "objectstore/http.h"
 #include "qos/qos.h"
@@ -174,12 +174,12 @@ TEST(QosQueueTest, DispatchOrderFollowsVirtualTimeWeights) {
   auto held = controller.AcquireStorletSlot("vip");
   ASSERT_TRUE(held.ok()) << held.status();
 
-  std::mutex order_mu;
+  Mutex order_mu;
   std::vector<std::string> order;
   auto waiter = [&](const std::string& account) {
     auto ticket = controller.AcquireStorletSlot(account);
     ASSERT_TRUE(ticket.ok()) << account << ": " << ticket.status();
-    std::lock_guard<std::mutex> lock(order_mu);
+    MutexLock lock(order_mu);
     order.push_back(account);
     // The ticket dies here, releasing the slot to the next waiter.
   };

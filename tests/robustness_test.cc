@@ -145,6 +145,19 @@ TEST_F(RobustnessTest, MalformedPushdownHeadersRejectedCleanly) {
   response = session_->client().Send(std::move(bad_schema));
   EXPECT_EQ(response.status, 500);
 
+  // A selection nested far past SourceFilter::kMaxParseDepth is rejected
+  // before the parser's recursion can overflow the stage thread's stack.
+  std::string deep;
+  for (int i = 0; i < 100000; ++i) deep += "(not ";
+  deep += "(eq vid 1)";
+  deep.append(100000, ')');
+  Request deep_selection = Request::Get("/acct/meters/m0000.csv");
+  deep_selection.headers.Set(kRunStorletHeader, "csvstorlet");
+  deep_selection.headers.Set("X-Storlet-Parameter-Schema", schema_.ToSpec());
+  deep_selection.headers.Set("X-Storlet-Parameter-Selection", deep);
+  response = session_->client().Send(std::move(deep_selection));
+  EXPECT_EQ(response.status, 500);
+
   // Random binary garbage as parameters must not crash anything.
   Rng rng(5);
   for (int i = 0; i < 20; ++i) {

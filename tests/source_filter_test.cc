@@ -16,6 +16,16 @@ Schema TestSchema() {
                  {"date", ColumnType::kString}});
 }
 
+// Evaluates `filter` on one record through MatchRows, the evaluator the
+// storlets run.
+bool MatchesOne(const SourceFilter& filter,
+                const std::vector<std::string_view>& fields,
+                const Schema& schema) {
+  std::vector<uint32_t> selected = {0};
+  filter.MatchRows(fields.data(), fields.size(), schema, &selected);
+  return !selected.empty();
+}
+
 TEST(SourceFilterTest, SerializeParseRoundtripBasics) {
   SourceFilter like = SourceFilter::Like("date", "2015-01%");
   EXPECT_EQ(like.Serialize(), "(like date \"2015-01%\")");
@@ -52,6 +62,24 @@ TEST(SourceFilterTest, ParseRejectsGarbage) {
   EXPECT_FALSE(SourceFilter::Parse("(like a \"unterminated)").ok());
 }
 
+TEST(SourceFilterTest, ParseBoundsNesting) {
+  // `depth` parentheses deep: (not (not ... (eq vid 1))).
+  auto nested = [](int depth) {
+    std::string text;
+    for (int i = 1; i < depth; ++i) text += "(not ";
+    text += "(eq vid 1)";
+    text.append(static_cast<size_t>(depth - 1), ')');
+    return text;
+  };
+  const std::string at_limit = nested(SourceFilter::kMaxParseDepth);
+  auto parsed = SourceFilter::Parse(at_limit);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->Serialize(), at_limit);
+  auto deeper = SourceFilter::Parse(nested(SourceFilter::kMaxParseDepth + 1));
+  ASSERT_FALSE(deeper.ok());
+  EXPECT_TRUE(deeper.status().IsInvalidArgument()) << deeper.status();
+}
+
 TEST(SourceFilterTest, MatchesSemantics) {
   Schema schema = TestSchema();
   std::vector<std::string_view> row = {"7", "Rotterdam", "20.5",
@@ -59,7 +87,7 @@ TEST(SourceFilterTest, MatchesSemantics) {
   auto match = [&](const std::string& text) {
     auto filter = SourceFilter::Parse(text);
     EXPECT_TRUE(filter.ok()) << text;
-    return filter->Matches(row, schema);
+    return MatchesOne(*filter, row, schema);
   };
   EXPECT_TRUE(match("(true)"));
   EXPECT_TRUE(match("(like date \"2015-01%\")"));
@@ -83,9 +111,9 @@ TEST(SourceFilterTest, NullFieldSemantics) {
   std::vector<std::string_view> row = {"", "", "", ""};
   auto filter = SourceFilter::Parse("(eq vid 0)");
   ASSERT_TRUE(filter.ok());
-  EXPECT_FALSE(filter->Matches(row, schema));
+  EXPECT_FALSE(MatchesOne(*filter, row, schema));
   auto isnull = SourceFilter::Parse("(isnull vid)");
-  EXPECT_TRUE(isnull->Matches(row, schema));
+  EXPECT_TRUE(MatchesOne(*isnull, row, schema));
 }
 
 TEST(SourceFilterTest, SelectivityEstimatesAreProbabilities) {
@@ -226,7 +254,7 @@ TEST(CatalystTest, IsNullOnNumericColumnStaysResidual) {
   EXPECT_EQ(extraction->residual_conjuncts.size(), 1u);
 }
 
-// Property: storage-side SourceFilter::Matches on raw fields and
+// Property: storage-side SourceFilter::MatchRows on raw fields and
 // compute-side expression evaluation on typed rows agree on every pushable
 // predicate the generator produces.
 TEST(FilterConsistencyProperty, StoreAndComputeAgree) {
@@ -272,7 +300,7 @@ TEST(FilterConsistencyProperty, StoreAndComputeAgree) {
     SourceFilter filter;
     ASSERT_TRUE(TryConvertToSourceFilter(**expr, schema, &filter)) << text;
 
-    bool store_side = filter.Matches(fields, schema);
+    bool store_side = MatchesOne(filter, fields, schema);
 
     Row typed;
     for (size_t i = 0; i < fields.size(); ++i) {

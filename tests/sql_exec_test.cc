@@ -420,7 +420,10 @@ TEST(ExecutorPropertyTest, PushedPlusResidualEqualsFullWhere) {
       for (const Value& v : projected) rendered.push_back(v.ToString());
       for (const std::string& s : rendered) views.push_back(s);
       Schema scan = (*plan)->scan_schema();
-      if ((*plan)->pushed_filter().Matches(views, scan)) {
+      std::vector<uint32_t> selected = {0};
+      (*plan)->pushed_filter().MatchRows(views.data(), views.size(), scan,
+                                         &selected);
+      if (!selected.empty()) {
         (*plan)->ProcessRow(projected, true, &split);
       }
     }

@@ -4,7 +4,7 @@
 
 #include <set>
 
-#include "csv/record_reader.h"
+#include "csv/batch_reader.h"
 #include "workload/generator.h"
 #include "workload/queries.h"
 #include "workload/selectivity.h"
@@ -93,20 +93,22 @@ TEST(GeneratorTest, CsvMatchesTypedRows) {
   std::string csv;
   generator.AppendCsv(0, generator.TotalRows(), &csv);
   Schema schema = GridPocketGenerator::MeterSchema();
-  CsvRowReader reader(csv, &schema);
-  Row parsed;
+  CsvBatchReader reader(csv, &schema);
+  RecordBatch batch;
   int64_t r = 0;
-  while (reader.Next(&parsed)) {
-    Row expected = generator.MakeRow(r);
-    for (size_t c = 0; c < expected.size(); ++c) {
-      // Doubles go through a display roundtrip; compare via rendering.
-      EXPECT_EQ(parsed[c].ToString(), expected[c].ToString())
-          << "row " << r << " col " << c;
+  while (reader.Next(&batch)) {
+    for (const Row& parsed : batch.ToRows()) {
+      Row expected = generator.MakeRow(r);
+      for (size_t c = 0; c < expected.size(); ++c) {
+        // Doubles go through a display roundtrip; compare via rendering.
+        EXPECT_EQ(parsed[c].ToString(), expected[c].ToString())
+            << "row " << r << " col " << c;
+      }
+      ++r;
     }
-    ++r;
   }
   EXPECT_EQ(r, generator.TotalRows());
-  EXPECT_EQ(reader.malformed_rows(), 0);
+  EXPECT_EQ(reader.stats().malformed_rows, 0);
 }
 
 TEST(GeneratorTest, AppendCsvSlicesConcatenate) {
@@ -207,12 +209,12 @@ TEST(WeblogTest, CsvParsesAgainstSchema) {
   std::string csv;
   generator.AppendCsv(0, generator.TotalRows(), &csv);
   Schema schema = WeblogGenerator::LogSchema();
-  CsvRowReader reader(csv, &schema);
-  Row row;
+  CsvBatchReader reader(csv, &schema);
+  RecordBatch batch;
   int64_t rows = 0;
-  while (reader.Next(&row)) ++rows;
+  while (reader.Next(&batch)) rows += batch.num_rows();
   EXPECT_EQ(rows, generator.TotalRows());
-  EXPECT_EQ(reader.malformed_rows(), 0);
+  EXPECT_EQ(reader.stats().malformed_rows, 0);
 }
 
 TEST(WeblogTest, ErrorQueriesAreHighlySelective) {

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """scoop_check — semantic static analysis for the Scoop tree.
 
-Where tools/lint.py pattern-matches single lines, scoop_check understands
-structure: the module include graph, class bodies and their members, and
-the catalogs that give names meaning. Checks (all documented in DESIGN.md
-"Static analysis"):
+scoop_check understands structure: the module include graph, class
+bodies and their members, and the catalogs that give names meaning. It
+also runs the line-level hygiene checks. Checks (all documented in
+DESIGN.md "Static analysis"):
 
   layering        src/ include graph vs tools/scoop_check/layers.spec
                   (cycles and undeclared edges are hard errors)
@@ -19,6 +19,10 @@ the catalogs that give names meaning. Checks (all documented in DESIGN.md
   metric-name     metric literals vs METRICS.md
   header-name     wire-layer header names (src/net/, src/scoop/) vs the
                   docs/PROTOCOL.md header catalog
+  raw-sync-primitive, raw-sync-include, blocking-under-lock,
+  include-hygiene, intrinsics-include, banned-function
+                  line-level hygiene over src/, tests/, bench/ and
+                  examples/ (see hygiene.py)
 
 Engines: `--engine libclang` uses a real AST for class/member extraction
 when python3-libclang is importable; `--engine tokens` (the reference
@@ -47,13 +51,15 @@ import compiledb        # noqa: E402
 import crosscheck       # noqa: E402
 import engine_libclang  # noqa: E402
 import guarded_by       # noqa: E402
+import hygiene          # noqa: E402
 import layering         # noqa: E402
 import status_audit     # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 ALL_CHECKS = ("layering", "guarded-by", "status-audit", "lock-rank",
-              "span-name", "failpoint-name", "metric-name", "header-name")
+              "span-name", "failpoint-name", "metric-name",
+              "header-name") + hygiene.CHECKS
 
 
 def _read(path):
@@ -154,6 +160,7 @@ def run(argv=None):
             if (root / "docs" / "PROTOCOL.md").is_file() else ""
         findings.extend(crosscheck.check_header_names(sources,
                                                       protocol_text))
+    findings.extend(f for f in hygiene.check(sources) if f.check in selected)
 
     findings.sort(key=lambda f: (f.path, f.line, f.check))
     for finding in findings:

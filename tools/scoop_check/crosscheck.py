@@ -1,8 +1,7 @@
 """Single-source-of-truth cross-checks.
 
 One extraction pass over the tree collects every name literal that has a
-catalog, then each family is validated against its catalog (these
-subsume the old one-off regex checks that lived in tools/lint.py):
+catalog, then each family is validated against its catalog:
 
   lock-rank        `Mutex("name", lockrank::kFoo)` constructions vs the
                    lockrank constants in src/common/sync.h vs the rank

@@ -15,6 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import common        # noqa: E402
 import crosscheck    # noqa: E402
 import guarded_by    # noqa: E402
+import hygiene       # noqa: E402
 import layering      # noqa: E402
 import status_audit  # noqa: E402
 
@@ -446,6 +447,49 @@ def test_header_name():
     expect("header-name/no-catalog",
            crosscheck.check_header_names([ok], "# PROTOCOL\nno table\n"),
            "header-name", contains="Header catalog")
+
+
+# --- line hygiene -----------------------------------------------------------
+
+HYGIENE_CASES = [
+    # (snippet, path, expected check or None)
+    ("std::mutex mu_;", "src/foo/a.h", "raw-sync-primitive"),
+    ("std::lock_guard<std::mutex> l(mu_);", "src/foo/a.cc",
+     "raw-sync-primitive"),
+    ("#include <mutex>", "src/foo/a.cc", "raw-sync-include"),
+    ("std::mutex graph_mu;", "src/common/sync.cc", None),
+    ("// std::mutex in a comment", "src/foo/a.cc", None),
+    ('#include "../common/sync.h"', "src/foo/a.cc", "include-hygiene"),
+    ("#include <bits/stdc++.h>", "src/foo/a.cc", "include-hygiene"),
+    ("#include <emmintrin.h>", "src/csv/batch_reader.cc",
+     "intrinsics-include"),
+    ("#include <immintrin.h>", "src/foo/a.cc", "intrinsics-include"),
+    ("#include <arm_neon.h>", "src/foo/a.cc", "intrinsics-include"),
+    ("#include <emmintrin.h>", "src/columnar/simd.cc", None),
+    ("// #include <emmintrin.h> in a comment", "src/foo/a.cc", None),
+    ("int x = rand();", "src/foo/a.cc", "banned-function"),
+    ("tm* t = localtime(&now);", "src/foo/a.cc", "banned-function"),
+    ("int x = rand();  // NOLINT: seeded elsewhere", "src/foo/a.cc", None),
+    ("void F() {\n  MutexLock lock(mu_);\n"
+     "  std::this_thread::sleep_for(1s);\n}", "src/foo/a.cc",
+     "blocking-under-lock"),
+    ("void F() {\n  {\n    MutexLock lock(mu_);\n  }\n"
+     "  std::this_thread::sleep_for(1s);\n}", "src/foo/a.cc", None),
+]
+
+
+def test_hygiene():
+    for snippet, path, expected in HYGIENE_CASES:
+        text = snippet
+        if path.endswith(".h"):
+            text = "#ifndef SCOOP_SELF_TEST_H_\n" + text
+        expect(f"hygiene/{path}: {snippet!r}",
+               hygiene.check([_src(path, text)]),
+               *([expected] if expected else []))
+
+    expect("hygiene/header-without-guard",
+           hygiene.check([_src("src/foo/a.h", "int A();\n")]),
+           "include-hygiene", contains="include guard")
 
 
 def run():

@@ -45,17 +45,25 @@ class ZzSeeded {
 SEEDED_CC = """\
 #include "common/zz_seeded_guard.h"
 
+#include <immintrin.h>
+#include <mutex>
+
+#include "../common/sync.h"
 // Layering violation: common may not reach up into csv.
 #include "csv/{csv_header}"
 
 namespace scoop {{
+
+std::mutex zz_raw_mu;
 
 int ZzSeeded::Get() {{
   (void)ExternalThing();
   TraceSpan span("zz.bogus_span");
   SCOOP_FAILPOINT("zz.bogus_site");
   registry->GetCounter("zz.bogus_metric")->Increment();
-  return 0;
+  MutexLock lock(mu_);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return rand();
 }}
 
 }}  // namespace scoop
@@ -73,7 +81,9 @@ void ZzSeededWire(Headers& headers) {
 
 EXPECTED_CHECKS = {"layering", "guarded-by", "status-audit", "lock-rank",
                    "span-name", "failpoint-name", "metric-name",
-                   "header-name"}
+                   "header-name", "raw-sync-primitive", "raw-sync-include",
+                   "blocking-under-lock", "include-hygiene",
+                   "intrinsics-include", "banned-function"}
 SEEDED_PATHS = {"src/common/zz_seeded_guard.h", "src/common/zz_seeded.cc",
                 "src/net/zz_seeded_wire.cc"}
 
