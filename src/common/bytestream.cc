@@ -90,6 +90,54 @@ Result<size_t> EofCallbackByteStream::Read(char* buf, size_t n) {
   return r;
 }
 
+Result<size_t> RecordAlignedStream::Read(char* buf, size_t n) {
+  if (n == 0) return static_cast<size_t>(0);
+  for (;;) {
+    SCOOP_ASSIGN_OR_RETURN(std::string_view piece, NextPiece(buf, n));
+    if (piece.empty()) return static_cast<size_t>(0);
+    if (skipping_) {
+      size_t nl = piece.find('\n');
+      if (nl == std::string_view::npos) continue;  // all of it dropped
+      skipping_ = false;
+      piece.remove_prefix(nl + 1);
+      if (piece.empty()) continue;
+    }
+    // Body bytes already lie in `buf`; extension bytes do not.
+    if (piece.data() != buf) std::memmove(buf, piece.data(), piece.size());
+    return piece.size();
+  }
+}
+
+Result<std::string_view> RecordAlignedStream::NextPiece(char* buf, size_t n) {
+  if (body_ != nullptr) {
+    SCOOP_ASSIGN_OR_RETURN(size_t got, body_->Read(buf, n));
+    if (got > 0) {
+      last_char_ = buf[got - 1];
+      return std::string_view(buf, got);
+    }
+    body_.reset();  // drained; release the object reference
+  }
+  while (extension_pos_ >= extension_.size()) {
+    if (last_char_ == '\n' || cursor_ >= object_size_) {
+      return std::string_view();
+    }
+    uint64_t last = std::min(cursor_ + fetch_size_, object_size_) - 1;
+    SCOOP_ASSIGN_OR_RETURN(extension_, fetch_(cursor_, last));
+    extension_pos_ = 0;
+    cursor_ = last + 1;
+    fetch_size_ = std::min(fetch_size_ * 2, kMaxExtension);
+    size_t nl = extension_.find('\n');
+    if (nl != std::string::npos) {
+      extension_.resize(nl + 1);
+      last_char_ = '\n';
+    }
+  }
+  size_t count = std::min(n, extension_.size() - extension_pos_);
+  std::string_view piece(extension_.data() + extension_pos_, count);
+  extension_pos_ += count;
+  return piece;
+}
+
 BoundedByteQueue::BoundedByteQueue(size_t max_bytes, Gauge* buffered_bytes,
                                    Counter* chunk_counter)
     : max_bytes_(max_bytes == 0 ? 1 : max_bytes),

@@ -184,6 +184,62 @@ class EofCallbackByteStream : public ByteStream {
 };
 
 // ---------------------------------------------------------------------------
+// RecordAlignedStream — the Hadoop text-input contract (paper §V-A) over a
+// raw byte-range body. The store runs it for pushdown GETs that ask for
+// record alignment (X-Storlet-Range-Records); the connector runs it for
+// every plain partition read.
+//
+// A split [first, last] with first > 0 is fetched from first-1. When
+// `skip_first` is set the stream drops everything up to and including the
+// first '\n': a record begun before `first` belongs to the previous split,
+// while one starting exactly at `first` is kept. Once the body is drained
+// the stream completes the trailing record by calling `fetch` for the
+// bytes after it — kFirstExtension bytes, then twice as many per call up
+// to kMaxExtension — until a fetch holds a '\n' or the object ends. Bytes
+// past that '\n' are dropped. A skip still pending scans the extensions
+// too, so a split wholly inside one record yields nothing. A failed fetch
+// fails the Read that needed it: the trailing record is never clipped.
+class RecordAlignedStream : public ByteStream {
+ public:
+  // Returns object bytes [first, last] (inclusive).
+  using Fetch =
+      std::function<Result<std::string>(uint64_t first, uint64_t last)>;
+
+  // A GridPocket record is under 100 B, so one first fetch nearly always
+  // completes it; the doubling bounds the fetch count for long records.
+  static constexpr uint64_t kFirstExtension = 256;
+  static constexpr uint64_t kMaxExtension = 64 * 1024;
+
+  // `body` ends just before object offset `body_end`; `object_size` bounds
+  // the extension reads.
+  RecordAlignedStream(std::shared_ptr<ByteStream> body, bool skip_first,
+                      uint64_t body_end, uint64_t object_size, Fetch fetch)
+      : body_(std::move(body)),
+        skipping_(skip_first),
+        cursor_(body_end),
+        object_size_(object_size),
+        fetch_(std::move(fetch)) {}
+
+  Result<size_t> Read(char* buf, size_t n) override;
+
+ private:
+  // The next piece of the unaligned logical stream, at most `n` bytes: the
+  // body (read into `buf`), then the extension through the trailing
+  // record's '\n'. Empty at EOF.
+  Result<std::string_view> NextPiece(char* buf, size_t n);
+
+  std::shared_ptr<ByteStream> body_;  // null once drained
+  bool skipping_;
+  uint64_t cursor_;  // object offset of the next extension fetch
+  const uint64_t object_size_;
+  Fetch fetch_;
+  uint64_t fetch_size_ = kFirstExtension;
+  char last_char_ = '\0';  // '\n' ends the extension phase
+  std::string extension_;  // the current fetch, cut after its first '\n'
+  size_t extension_pos_ = 0;
+};
+
+// ---------------------------------------------------------------------------
 // BoundedByteQueue — the inter-stage pipe of the storlet pipeline.
 //
 // A single-producer single-consumer blocking queue of chunks with a hard

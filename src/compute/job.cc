@@ -34,41 +34,39 @@ Result<QueryOutcome> SqlJobRunner::Run(const SelectStatement& stmt,
   ExponentialHistogram* batch_eval_us =
       metrics_ != nullptr ? metrics_->GetHistogram("exec.batch_eval_us")
                           : nullptr;
-  std::vector<TaskInfo> task_infos = scheduler_->RunTasks(
-      partitions.size(), [&](size_t index, int /*worker_id*/) {
-        TaskOutput& out = outputs[index];
-        auto scan = relation->ScanPartition(partitions[index], scan_spec);
-        if (!scan.ok()) {
-          out.status = scan.status();
-          return;
-        }
-        if (scan->agg_applied) {
-          // The store already folded this partition into partial
-          // aggregate states; absorb them as if the rows had been
-          // processed here.
-          AggPartialFrame frame;
-          frame.agg_kinds = scan_spec.aggregate->agg_kinds;
-          frame.rows = scan->agg_rows;
-          frame.groups = std::move(scan->agg_groups);
-          out.status = plan->AbsorbAggPartials(frame, &out.partial);
-          if (!out.status.ok()) return;
-          scan->agg_groups.clear();
-        }
-        for (const RecordBatch& batch : scan->batches) {
-          Stopwatch batch_watch;
-          plan->ProcessBatch(batch, scan->filter_applied, &out.partial);
-          if (batch_eval_us != nullptr) {
-            batch_eval_us->Record(static_cast<int64_t>(
-                batch_watch.ElapsedSeconds() * 1e6));
-          }
-        }
-        scan->batches.clear();
-        out.scan_info = std::move(scan).value();
-      });
+  ParallelFor(*pool_, partitions.size(), [&](size_t index) {
+    TaskOutput& out = outputs[index];
+    auto scan = relation->ScanPartition(partitions[index], scan_spec);
+    if (!scan.ok()) {
+      out.status = scan.status();
+      return;
+    }
+    if (scan->agg_applied) {
+      // The store already folded this partition into partial
+      // aggregate states; absorb them as if the rows had been
+      // processed here.
+      AggPartialFrame frame;
+      frame.agg_kinds = scan_spec.aggregate->agg_kinds;
+      frame.rows = scan->agg_rows;
+      frame.groups = std::move(scan->agg_groups);
+      out.status = plan->AbsorbAggPartials(frame, &out.partial);
+      if (!out.status.ok()) return;
+      scan->agg_groups.clear();
+    }
+    for (const RecordBatch& batch : scan->batches) {
+      Stopwatch batch_watch;
+      plan->ProcessBatch(batch, scan->filter_applied, &out.partial);
+      if (batch_eval_us != nullptr) {
+        batch_eval_us->Record(static_cast<int64_t>(
+            batch_watch.ElapsedSeconds() * 1e6));
+      }
+    }
+    scan->batches.clear();
+    out.scan_info = std::move(scan).value();
+  });
 
   QueryOutcome outcome;
   outcome.stats.partitions = static_cast<int>(partitions.size());
-  outcome.stats.tasks = std::move(task_infos);
   // Driver-side final merge: every partition's partial states — whether
   // produced by a storlet or by a task — collapse here, in partition
   // order, then finalize into the result table. Roots its own trace; the

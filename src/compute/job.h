@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "compute/scheduler.h"
+#include "common/thread_pool.h"
 #include "datasource/datasource.h"
 #include "sql/ast.h"
 #include "sql/executor.h"
@@ -24,7 +24,6 @@ struct JobStats {
   int64_t rows_passed = 0;      // rows surviving the WHERE
   int64_t rows_output = 0;
   double wall_seconds = 0.0;
-  std::vector<TaskInfo> tasks;
 
   // The paper's "query data selectivity": fraction of the dataset that did
   // not need to be ingested.
@@ -42,17 +41,16 @@ struct QueryOutcome {
 };
 
 // Executes a SELECT over a partitioned relation with Spark-like staging:
-// partition discovery -> parallel per-partition tasks (scan + residual
-// filter + partial aggregation) -> ordered merge at the driver -> final
-// sort/limit/projection. Whether filtering happens at the store or on the
-// workers is decided per partition by what the scan reports.
+// partition discovery -> parallel per-partition tasks on `pool` (scan +
+// residual filter + partial aggregation) -> ordered merge at the driver ->
+// final sort/limit/projection. Whether filtering happens at the store or
+// on the workers is decided per partition by what the scan reports.
 class SqlJobRunner {
  public:
   // `metrics` (optional) receives the "exec.batch_eval_us" histogram —
   // per-RecordBatch evaluation latency on the columnar plane.
-  explicit SqlJobRunner(TaskScheduler* scheduler,
-                        MetricRegistry* metrics = nullptr)
-      : scheduler_(scheduler), metrics_(metrics) {}
+  explicit SqlJobRunner(ThreadPool* pool, MetricRegistry* metrics = nullptr)
+      : pool_(pool), metrics_(metrics) {}
 
   Result<QueryOutcome> Run(const SelectStatement& stmt,
                            PartitionedRelation* relation);
@@ -60,7 +58,7 @@ class SqlJobRunner {
                               PartitionedRelation* relation);
 
  private:
-  TaskScheduler* scheduler_;
+  ThreadPool* pool_;
   MetricRegistry* metrics_;
 };
 

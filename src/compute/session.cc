@@ -20,7 +20,7 @@ Result<std::shared_ptr<PartitionedRelation>> SparkSession::GetTable(
 Result<QueryOutcome> SparkSession::Sql(const std::string& query) {
   SCOOP_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSql(query));
   SCOOP_ASSIGN_OR_RETURN(auto relation, GetTable(stmt.table));
-  SqlJobRunner runner(&scheduler_, metrics_);
+  SqlJobRunner runner(&pool_, metrics_);
   return runner.Run(stmt, relation.get());
 }
 

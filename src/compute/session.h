@@ -1,13 +1,14 @@
 #ifndef SCOOP_COMPUTE_SESSION_H_
 #define SCOOP_COMPUTE_SESSION_H_
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "compute/job.h"
-#include "compute/scheduler.h"
 #include "datasource/datasource.h"
 
 namespace scoop {
@@ -15,14 +16,18 @@ namespace scoop {
 // The SparkSession-like entry point of the compute cluster: tables are
 // registered against data sources, then queried with SQL. The FROM clause
 // resolves against the registered names (the paper's `largeMeter`).
+// Every compute task — a query's partition scans, a StorletRdd's
+// per-object invocations — runs on the session's one pool of
+// `num_workers` threads.
 class SparkSession {
  public:
-  explicit SparkSession(int num_workers) : scheduler_(num_workers) {}
+  explicit SparkSession(int num_workers)
+      : pool_(static_cast<size_t>(std::max(1, num_workers))) {}
 
   SparkSession(const SparkSession&) = delete;
   SparkSession& operator=(const SparkSession&) = delete;
 
-  TaskScheduler& scheduler() { return scheduler_; }
+  ThreadPool& pool() { return pool_; }
 
   // Points query execution at a metric registry (exec.batch_eval_us and
   // friends); nullptr (the default) disables execution metrics.
@@ -43,7 +48,7 @@ class SparkSession {
   Result<std::string> ExplainSql(const std::string& query);
 
  private:
-  TaskScheduler scheduler_;
+  ThreadPool pool_;
   MetricRegistry* metrics_ = nullptr;
   std::map<std::string, std::shared_ptr<PartitionedRelation>> tables_;
 };

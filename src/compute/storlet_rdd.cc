@@ -4,47 +4,49 @@
 
 namespace scoop {
 
+Status StorletRdd::InvokeOn(
+    const std::string& object, bool* executed_at_store,
+    const std::function<Status(std::string_view)>& consume) {
+  // Client edge: each per-object invocation roots its own trace, the
+  // whole store-side tree for that object hangs below it.
+  TraceSpan span("storletrdd.object");
+  if (span.active()) {
+    span.SetTag("object", object);
+    span.SetTag("storlet", storlet_);
+  }
+  std::string path = "/" + client_->account() + "/" + container_ + "/" + object;
+  Request request = Request::Get(path);
+  request.headers.Set(kRunStorletHeader, storlet_);
+  for (const auto& [key, value] : params_) {
+    request.headers.Set(std::string(kStorletParamPrefix) + key, value);
+  }
+  StampTraceContext(span.context(), &request.headers);
+  HttpResponse response = client_->Send(std::move(request));
+  if (!response.ok()) {
+    return Status::Internal("storlet GET -> " +
+                            std::to_string(response.status) + " " +
+                            response.body());
+  }
+  // When the store declined (policy off), the body is the raw object.
+  *executed_at_store = response.headers.Has(kStorletExecutedHeader);
+  // Drain the invocation's output incrementally; a filter failure after
+  // the first chunk surfaces here as the stream's error.
+  return response.TakeBodyStream()->DrainTo(consume);
+}
+
 Result<std::vector<StorletRdd::PartitionOutput>> StorletRdd::Collect() {
   SCOOP_ASSIGN_OR_RETURN(std::vector<ObjectInfo> objects,
                          client_->ListObjects(container_, prefix_));
   std::vector<PartitionOutput> outputs(objects.size());
   std::vector<Status> statuses(objects.size(), Status::OK());
-
-  scheduler_->RunTasks(objects.size(), [&](size_t index, int /*worker*/) {
-    // Client edge: each per-object invocation roots its own trace, the
-    // whole store-side tree for that object hangs below it.
-    TraceSpan span("storletrdd.object");
-    if (span.active()) {
-      span.SetTag("object", objects[index].name);
-      span.SetTag("storlet", storlet_);
-    }
-    Headers headers;
-    headers.Set(kRunStorletHeader, storlet_);
-    for (const auto& [key, value] : params_) {
-      headers.Set(std::string(kStorletParamPrefix) + key, value);
-    }
-    Request request = Request::Get("/" + client_->account() + "/" +
-                                   container_ + "/" + objects[index].name);
-    for (const auto& [name, value] : headers) request.headers.Set(name, value);
-    StampTraceContext(span.context(), &request.headers);
-    HttpResponse response = client_->Send(std::move(request));
-    if (!response.ok()) {
-      statuses[index] = Status::Internal(
-          "storlet GET -> " + std::to_string(response.status) + " " +
-          response.body());
-      return;
-    }
-    outputs[index].object = objects[index].name;
-    // When the store declined (policy off), the body is the raw object.
-    outputs[index].executed_at_store =
-        response.headers.Has(kStorletExecutedHeader);
-    // Drain the invocation's output incrementally; a filter failure
-    // after the first chunk surfaces here as the stream's error.
-    statuses[index] = response.TakeBodyStream()->DrainTo(
-        [&](std::string_view chunk) {
-          outputs[index].output.append(chunk);
-          return Status::OK();
-        });
+  ParallelFor(*pool_, objects.size(), [&](size_t index) {
+    PartitionOutput& out = outputs[index];
+    out.object = objects[index].name;
+    auto append = [&out](std::string_view chunk) {
+      out.output.append(chunk);
+      return Status::OK();
+    };
+    statuses[index] = InvokeOn(out.object, &out.executed_at_store, append);
   });
   for (const Status& status : statuses) SCOOP_RETURN_IF_ERROR(status);
   return outputs;
@@ -64,34 +66,13 @@ Status StorletRdd::ForEachChunk(
   SCOOP_ASSIGN_OR_RETURN(std::vector<ObjectInfo> objects,
                          client_->ListObjects(container_, prefix_));
   std::vector<Status> statuses(objects.size(), Status::OK());
-
-  scheduler_->RunTasks(objects.size(), [&](size_t index, int /*worker*/) {
-    TraceSpan span("storletrdd.object");
-    if (span.active()) {
-      span.SetTag("object", objects[index].name);
-      span.SetTag("storlet", storlet_);
-    }
-    Headers headers;
-    headers.Set(kRunStorletHeader, storlet_);
-    for (const auto& [key, value] : params_) {
-      headers.Set(std::string(kStorletParamPrefix) + key, value);
-    }
-    Request request = Request::Get("/" + client_->account() + "/" +
-                                   container_ + "/" + objects[index].name);
-    for (const auto& [name, value] : headers) request.headers.Set(name, value);
-    StampTraceContext(span.context(), &request.headers);
-    HttpResponse response = client_->Send(std::move(request));
-    if (!response.ok()) {
-      statuses[index] = Status::Internal(
-          "storlet GET -> " + std::to_string(response.status) + " " +
-          response.body());
-      return;
-    }
-    bool executed = response.headers.Has(kStorletExecutedHeader);
-    statuses[index] = response.TakeBodyStream()->DrainTo(
-        [&](std::string_view chunk) {
-          return consume(objects[index].name, chunk, executed);
-        });
+  ParallelFor(*pool_, objects.size(), [&](size_t index) {
+    const std::string& object = objects[index].name;
+    bool executed = false;
+    auto forward = [&](std::string_view chunk) {
+      return consume(object, chunk, executed);
+    };
+    statuses[index] = InvokeOn(object, &executed, forward);
   });
   for (const Status& status : statuses) SCOOP_RETURN_IF_ERROR(status);
   return Status::OK();

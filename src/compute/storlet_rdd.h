@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "compute/scheduler.h"
+#include "common/thread_pool.h"
 #include "objectstore/cluster.h"
 #include "storlets/storlet.h"
 
@@ -18,11 +18,10 @@ namespace scoop {
 // task per object) rather than derived from an HDFS chunk size.
 class StorletRdd {
  public:
-  StorletRdd(SwiftClient* client, TaskScheduler* scheduler,
-             std::string container, std::string prefix, std::string storlet,
-             StorletParams params)
+  StorletRdd(SwiftClient* client, ThreadPool* pool, std::string container,
+             std::string prefix, std::string storlet, StorletParams params)
       : client_(client),
-        scheduler_(scheduler),
+        pool_(pool),
         container_(std::move(container)),
         prefix_(std::move(prefix)),
         storlet_(std::move(storlet)),
@@ -34,7 +33,7 @@ class StorletRdd {
     bool executed_at_store = false;
   };
 
-  // Runs the storlet on every object (in parallel tasks) and collects the
+  // Runs the storlet on every object (one pool task each) and collects the
   // outputs, ordered by object name. Each partition is drained off the
   // store chunk by chunk; only the accumulated output is materialized.
   Result<std::vector<PartitionOutput>> Collect();
@@ -46,15 +45,22 @@ class StorletRdd {
   // to `consume` chunk by chunk as it is produced, never materialized.
   // Chunks of one object arrive in order; objects run as parallel tasks,
   // so `consume` must tolerate interleaving across objects (it is called
-  // concurrently from scheduler workers).
+  // concurrently from pool workers).
   Status ForEachChunk(
       const std::function<Status(const std::string& object,
                                  std::string_view chunk,
                                  bool executed_at_store)>& consume);
 
  private:
+  // The per-object task: invokes the storlet on `object` under its own
+  // root span and drains the output through `consume`. Sets
+  // `executed_at_store` before the first chunk (false: the store declined
+  // and the body is the raw object).
+  Status InvokeOn(const std::string& object, bool* executed_at_store,
+                  const std::function<Status(std::string_view)>& consume);
+
   SwiftClient* client_;
-  TaskScheduler* scheduler_;
+  ThreadPool* pool_;
   std::string container_;
   std::string prefix_;
   std::string storlet_;

@@ -10,8 +10,6 @@
 namespace scoop {
 
 namespace {
-constexpr uint64_t kAlignmentChunk = 64 * 1024;
-
 Request RangedGet(const std::string& account, const std::string& container,
                   const std::string& object, uint64_t first, uint64_t last) {
   Request request = Request::Get("/" + account + "/" + container + "/" +
@@ -257,13 +255,10 @@ Result<Stocator::ReadStats> Stocator::ReadAlignedInto(
     const std::function<Status(std::string_view)>& consume,
     const TraceContext& parent) {
   TraceSpan span("stocator.read_aligned", parent);
-  ReadStats stats;
-  stats.requests = 0;
-  stats.pushdown_executed = false;
-  // Hadoop text-input contract, executed client-side: start at first-1
-  // (when first > 0), discard through the first newline, then extend past
-  // `last` until the final record completes. The main range streams
-  // through chunk by chunk; only an alignment chunk is ever resident.
+  // Hadoop text-input contract, executed client-side: a split that starts
+  // mid-object is fetched from first-1, and RecordAlignedStream skips its
+  // partial first record and completes its last one with extension GETs.
+  // The range streams through chunk by chunk.
   uint64_t start = partition.first > 0 ? partition.first - 1 : 0;
   Request ranged = RangedGet(client_->account(), partition.container,
                              partition.object, start, partition.last);
@@ -278,57 +273,26 @@ Result<Stocator::ReadStats> Stocator::ReadAlignedInto(
                             std::to_string(response.status) + " " +
                             response.body());
   }
-  ++stats.requests;
 
-  bool skipping = partition.first > 0;
-  char last_char = '\0';
-  std::shared_ptr<ByteStream> stream = response.TakeBodyStream();
-  std::string buf(kAlignmentChunk, '\0');
-  for (;;) {
-    SCOOP_ASSIGN_OR_RETURN(size_t n, stream->Read(buf.data(), buf.size()));
-    if (n == 0) break;
-    stats.bytes_transferred += n;
-    std::string_view chunk(buf.data(), n);
-    last_char = chunk.back();
-    if (skipping) {
-      size_t nl = chunk.find('\n');
-      if (nl == std::string_view::npos) continue;
-      skipping = false;
-      chunk.remove_prefix(nl + 1);
-      if (chunk.empty()) continue;
+  // Every GET and every byte received counts, the skipped prefix and the
+  // unused tail of each extension included.
+  ReadStats stats;
+  Counter body_bytes;
+  auto body = std::make_shared<CountingByteStream>(response.TakeBodyStream(),
+                                                   &body_bytes);
+  auto fetch = [&](uint64_t first, uint64_t last) -> Result<std::string> {
+    Result<std::string> extension = client_->GetObjectRange(
+        partition.container, partition.object, first, last);
+    if (extension.ok()) {
+      ++stats.requests;
+      stats.bytes_transferred += extension->size();
     }
-    SCOOP_RETURN_IF_ERROR(consume(chunk));
-  }
-  stream.reset();
-
-  // Tail extension: complete the final record with bounded follow-up
-  // reads. (The skip, if still pending, scans across these too — the
-  // logical stream is range + extensions, as in the buffered form.)
-  uint64_t cursor = partition.last + 1;
-  while (last_char != '\n' && cursor < partition.object_size) {
-    uint64_t chunk_last =
-        std::min(cursor + kAlignmentChunk - 1, partition.object_size - 1);
-    SCOOP_ASSIGN_OR_RETURN(
-        std::string extension,
-        client_->GetObjectRange(partition.container, partition.object, cursor,
-                                chunk_last));
-    ++stats.requests;
-    stats.bytes_transferred += extension.size();
-    cursor = chunk_last + 1;
-    std::string_view piece = extension;
-    size_t nl = piece.find('\n');
-    if (nl != std::string_view::npos) {
-      piece = piece.substr(0, nl + 1);
-      last_char = '\n';
-    }
-    if (skipping) {
-      size_t skip_nl = piece.find('\n');
-      if (skip_nl == std::string_view::npos) continue;
-      skipping = false;
-      piece.remove_prefix(skip_nl + 1);
-    }
-    if (!piece.empty()) SCOOP_RETURN_IF_ERROR(consume(piece));
-  }
+    return extension;
+  };
+  RecordAlignedStream aligned(body, partition.first > 0, partition.last + 1,
+                              partition.object_size, fetch);
+  SCOOP_RETURN_IF_ERROR(aligned.DrainTo(consume));
+  stats.bytes_transferred += static_cast<uint64_t>(body_bytes.value());
   return stats;
 }
 

@@ -122,7 +122,7 @@ class ScoopSession {
   StorletRdd MakeStorletRdd(const std::string& container,
                             const std::string& prefix,
                             const std::string& storlet, StorletParams params) {
-    return StorletRdd(&client_, &spark_.scheduler(), container, prefix,
+    return StorletRdd(&client_, &spark_.pool(), container, prefix,
                       storlet, std::move(params));
   }
 

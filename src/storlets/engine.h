@@ -68,6 +68,9 @@ class StorletEngine {
   // Validates policy and instantiates every storlet up front (those
   // errors return synchronously, before any byte moves), then launches
   // one thread per stage. `input` feeds stage 0 and is owned by the run.
+  // Stages are not tasks on a fixed pool: they block on each other
+  // through the bounded queues, so a pool deadlocks once every worker
+  // holds a stage whose neighbour is still queued.
   // Each stage thread opens a "storlet.stage" span under `parent` (the
   // middleware's span) and records its wall time — queue waits included,
   // that is the point — into the "storlet.stage_us" histogram.

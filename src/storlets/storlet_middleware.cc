@@ -1,6 +1,6 @@
 #include "storlets/storlet_middleware.h"
 
-#include <cstring>
+#include <limits>
 
 #include "common/failpoint.h"
 #include "common/strings.h"
@@ -12,145 +12,44 @@ namespace scoop {
 
 namespace {
 
-// Parses an explicit "bytes=first-last" request range; other forms return
-// an error and disable the start-1 adjustment.
-Result<std::pair<uint64_t, uint64_t>> ParseExplicitRange(
-    const std::string& value) {
-  if (!StartsWith(value, "bytes=")) {
-    return Status::InvalidArgument("bad Range: " + value);
+// Wraps a ranged GET's raw body in the shared record-alignment stream.
+// Extension reads go through `next` as copies of `request` without the
+// storlet headers. The "middleware.align" span is owned by the fetch, so
+// it lives as long as the stream: alignment is lazy, and the span ends
+// once the consumer has drained (or dropped) the stream.
+std::shared_ptr<ByteStream> AlignRecords(std::shared_ptr<ByteStream> body,
+                                         bool skip_first,
+                                         const ContentRange& range,
+                                         Request request, HttpHandler next) {
+  auto span = std::make_shared<TraceSpan>(
+      "middleware.align", TraceContextFromHeaders(request.headers));
+  if (span->active()) {
+    span->SetTag("skip_first", skip_first ? "true" : "false");
   }
-  std::string_view spec = std::string_view(value).substr(6);
-  size_t dash = spec.find('-');
-  if (dash == std::string_view::npos || dash == 0 ||
-      dash + 1 >= spec.size()) {
-    return Status::InvalidArgument("not an explicit range: " + value);
-  }
-  SCOOP_ASSIGN_OR_RETURN(int64_t first, ParseInt64(spec.substr(0, dash)));
-  SCOOP_ASSIGN_OR_RETURN(int64_t last, ParseInt64(spec.substr(dash + 1)));
-  if (first < 0 || last < first) {
-    return Status::InvalidArgument("bad explicit range: " + value);
-  }
-  return std::make_pair(static_cast<uint64_t>(first),
-                        static_cast<uint64_t>(last));
+  request.headers.Remove(kRunStorletHeader);
+  request.headers.Remove(kStorletRangeRecordsHeader);
+  auto fetch = [span, request = std::move(request), next = std::move(next)](
+                   uint64_t first, uint64_t last) -> Result<std::string> {
+    Request extension = request;
+    std::string range = std::to_string(first) + "-" + std::to_string(last);
+    extension.headers.Set(kRangeHeader, "bytes=" + range);
+    HttpResponse response = next(extension);
+    // Drain before the ok() check: a mid-stream read fault only flips the
+    // response to a 500 on materialization, and checking first would let
+    // the error text (or a truncated prefix) masquerade as record bytes —
+    // silently clipping the trailing record instead of failing the run so
+    // the client's fallback ladder can take over.
+    response.Materialize();
+    if (!response.ok()) {
+      return Status::Internal("record-alignment extension read failed: " +
+                              std::to_string(response.status));
+    }
+    return response.TakeBody();
+  };
+  uint64_t body_end = range.last + 1;
+  return std::make_shared<RecordAlignedStream>(
+      std::move(body), skip_first, body_end, range.total, std::move(fetch));
 }
-
-// Bytes fetched per extension read while completing the trailing record.
-constexpr uint64_t kExtensionChunk = 64 * 1024;
-
-// Lazily record-aligns a ranged GET (Hadoop text-input contract, paper
-// §V-A) as a stream wrapper over the raw range body:
-//  * drops everything through the first '\n' when the split starts
-//    mid-object (the previous split owns that record), and
-//  * once the underlying range is exhausted, completes the trailing
-//    record with bounded extension reads issued through `next` — at most
-//    kExtensionChunk bytes are resident at a time instead of the whole
-//    aligned body.
-// The skip scans the *aligned* logical stream (body then extensions),
-// matching the buffered implementation this replaces.
-class RecordAlignedStream : public ByteStream {
- public:
-  RecordAlignedStream(std::shared_ptr<ByteStream> inner, bool skip_first,
-                      ContentRange range, Request base_request,
-                      HttpHandler next, const TraceContext& parent)
-      : span_("middleware.align", parent),
-        inner_(std::move(inner)),
-        skipping_(skip_first),
-        range_(range),
-        cursor_(range.last + 1),
-        request_(std::move(base_request)),
-        next_(std::move(next)) {
-    request_.headers.Remove(kRunStorletHeader);
-    request_.headers.Remove(kStorletRangeRecordsHeader);
-    if (span_.active()) {
-      span_.SetTag("skip_first", skip_first ? "true" : "false");
-    }
-  }
-
-  Result<size_t> Read(char* buf, size_t n) override {
-    while (ppos_ >= pending_.size()) {
-      if (done_) return static_cast<size_t>(0);
-      SCOOP_ASSIGN_OR_RETURN(std::string chunk, NextAlignedChunk());
-      if (chunk.empty()) {
-        done_ = true;
-        return static_cast<size_t>(0);
-      }
-      if (skipping_) {
-        size_t nl = chunk.find('\n');
-        if (nl == std::string::npos) continue;  // whole chunk discarded
-        skipping_ = false;
-        chunk.erase(0, nl + 1);
-        if (chunk.empty()) continue;
-      }
-      pending_ = std::move(chunk);
-      ppos_ = 0;
-    }
-    size_t count = std::min(n, pending_.size() - ppos_);
-    std::memcpy(buf, pending_.data() + ppos_, count);
-    ppos_ += count;
-    return count;
-  }
-
- private:
-  // Next chunk of the aligned logical stream: the raw range body first,
-  // then extension reads until the trailing record is newline-terminated
-  // or the object ends. Empty means EOF.
-  Result<std::string> NextAlignedChunk() {
-    while (inner_ != nullptr) {
-      std::string buf(kDefaultStreamChunk, '\0');
-      SCOOP_ASSIGN_OR_RETURN(size_t n, inner_->Read(buf.data(), buf.size()));
-      if (n > 0) {
-        buf.resize(n);
-        last_char_ = buf.back();
-        return buf;
-      }
-      inner_.reset();  // range exhausted; release the object reference
-    }
-    while (last_char_ != '\n' && cursor_ < range_.total) {
-      uint64_t chunk_last =
-          std::min(cursor_ + kExtensionChunk - 1, range_.total - 1);
-      Request extension = request_;
-      extension.headers.Set(
-          kRangeHeader,
-          StrFormat("bytes=%llu-%llu",
-                    static_cast<unsigned long long>(cursor_),
-                    static_cast<unsigned long long>(chunk_last)));
-      HttpResponse ext = next_(extension);
-      // Drain before the ok() check: a mid-stream read fault only flips the
-      // response to a 500 on materialization, and checking first would let
-      // the error text (or a truncated prefix) masquerade as record bytes —
-      // silently clipping the trailing record instead of failing the run so
-      // the client's fallback ladder can take over.
-      ext.Materialize();
-      if (!ext.ok()) {
-        return Status::Internal("record-alignment extension read failed: " +
-                                std::to_string(ext.status));
-      }
-      std::string data = ext.TakeBody();
-      cursor_ = chunk_last + 1;
-      size_t nl = data.find('\n');
-      if (nl != std::string::npos) {
-        data.resize(nl + 1);
-        last_char_ = '\n';
-      }
-      if (!data.empty()) return data;
-    }
-    return std::string();
-  }
-
-  // Alignment is lazy, so the span covers the stream's whole life: it
-  // ends at destruction, i.e. once the consumer drained (or dropped) it.
-  TraceSpan span_;
-  std::shared_ptr<ByteStream> inner_;  // null once the raw range is drained
-  bool skipping_;
-  const ContentRange range_;
-  uint64_t cursor_;
-  Request request_;  // template for extension reads (storlet headers removed)
-  HttpHandler next_;
-  char last_char_ = '\0';  // '\n' terminates the extension phase
-  std::string pending_;
-  size_t ppos_ = 0;
-  bool done_ = false;
-};
 
 }  // namespace
 
@@ -232,22 +131,28 @@ HttpResponse StorletMiddleware::ProcessGet(
   bool align = ToLower(request.headers.GetOr(kStorletRangeRecordsHeader,
                                              "")) == "true";
   bool skip_first_record = false;
-  if (align) {
+  auto range_header = request.headers.Get(kRangeHeader);
+  if (align && range_header) {
     // Hadoop text-input contract: a split with first > 0 starts reading at
     // first-1 and discards everything through the first newline, so a
     // record beginning exactly at `first` is kept, while a record begun in
     // the previous split is dropped (it is read there via tail extension).
-    auto range_header = request.headers.Get(kRangeHeader);
-    if (range_header) {
-      auto range = ParseExplicitRange(*range_header);
-      if (range.ok() && range->first > 0) {
-        skip_first_record = true;
-        request.headers.Set(
-            kRangeHeader,
-            StrFormat("bytes=%llu-%llu",
-                      static_cast<unsigned long long>(range->first - 1),
-                      static_cast<unsigned long long>(range->second)));
-      }
+    // A suffix range cannot be aligned: its start is unknown until the
+    // object size is.
+    if (StartsWith(*range_header, "bytes=-")) {
+      return HttpResponse::Make(400, "a suffix Range cannot be aligned");
+    }
+    // The object size is unknown here: parse against an unbounded object.
+    // Any other malformed value passes through for the object server to
+    // refuse.
+    constexpr uint64_t kUnbounded = std::numeric_limits<int64_t>::max();
+    auto range = ByteRange::Parse(*range_header, kUnbounded);
+    if (range.ok() && range->first > 0) {
+      skip_first_record = true;
+      // Shift the start, keep "-last" (or the open "-") as sent.
+      std::string start = "bytes=" + std::to_string(range->first - 1);
+      std::string tail = range_header->substr(range_header->find('-'));
+      request.headers.Set(kRangeHeader, start + tail);
     }
   }
 
@@ -265,9 +170,8 @@ HttpResponse StorletMiddleware::ProcessGet(
       if (!range.ok()) {
         return HttpResponse::Make(500, range.status().ToString());
       }
-      source = std::make_shared<RecordAlignedStream>(
-          std::move(source), skip_first_record, *range, request, next,
-          TraceContextFromHeaders(request.headers));
+      source = AlignRecords(std::move(source), skip_first_record, *range,
+                            request, next);
       // Alignment changes the length by an amount only known at EOF.
       response.headers.Remove(kContentLengthHeader);
     }

@@ -87,6 +87,100 @@ TEST(ByteStreamTest, EofCallbackFiresOnce) {
   EXPECT_EQ(fired, 1);
 }
 
+// An object behind a fake fetch: RecordAlignedStream's extension reads are
+// served from `object` and logged; `error` (when set) fails every fetch.
+struct FakeObject {
+  explicit FakeObject(std::string data) : object(std::move(data)) {}
+
+  std::string object;
+  std::vector<std::pair<uint64_t, uint64_t>> fetches;
+  Status error = Status::OK();
+
+  // Aligns the split [first, last], delivering the body in `chunk`-byte
+  // reads the way a ranged GET from first-1 would.
+  Result<std::string> ReadSplit(uint64_t first, uint64_t last,
+                                size_t chunk = kDefaultStreamChunk) {
+    uint64_t start = first > 0 ? first - 1 : 0;
+    auto body = std::make_shared<StringByteStream>(
+        object.substr(start, last + 1 - start), chunk);
+    auto fetch = [this](uint64_t from, uint64_t to) -> Result<std::string> {
+      fetches.emplace_back(from, to);
+      if (!error.ok()) return error;
+      return object.substr(from, to + 1 - from);
+    };
+    RecordAlignedStream stream(body, first > 0, last + 1, object.size(), fetch);
+    return stream.ReadAll();
+  }
+
+  std::vector<uint64_t> FetchSizes() const {
+    std::vector<uint64_t> sizes;
+    for (const auto& [from, to] : fetches) sizes.push_back(to + 1 - from);
+    return sizes;
+  }
+};
+
+TEST(RecordAlignedStreamTest, SkipSpansSeveralBodyChunks) {
+  FakeObject fake{"aaaa\n" + std::string(40, 'b') + "\ncc\ndd\n"};
+  auto read = fake.ReadSplit(6, fake.object.size() - 1, /*chunk=*/8);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, "cc\ndd\n");
+  EXPECT_TRUE(fake.fetches.empty());  // the split ends at the object's end
+}
+
+TEST(RecordAlignedStreamTest, SplitInsideOneRecordYieldsNothing) {
+  // The long record spans [5, 305]; the split [10, 20] lies inside it.
+  FakeObject fake{"aaaa\n" + std::string(300, 'b') + "\ncc\n"};
+  auto read = fake.ReadSplit(10, 20, /*chunk=*/4);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, "");
+  // The skip ran on into the extension until the record's '\n'.
+  ASSERT_EQ(fake.fetches.size(), 2u);
+  EXPECT_EQ(fake.fetches[0], std::make_pair(uint64_t{21}, uint64_t{276}));
+  EXPECT_EQ(fake.fetches[1].second, fake.object.size() - 1);  // clipped
+}
+
+TEST(RecordAlignedStreamTest, TrailingRecordFetchesDoubleUpToTheCap) {
+  std::string rest;
+  for (int i = 0; i < 40000; ++i) rest += "z\n";
+  FakeObject fake{"a\n" + std::string(3000, 'x') + "\n" + rest};
+  auto read = fake.ReadSplit(0, 9);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, "a\n" + std::string(3000, 'x') + "\n");
+  EXPECT_EQ(fake.FetchSizes(), (std::vector<uint64_t>{256, 512, 1024, 2048}));
+
+  // A record longer than the cap: the fetch size stops doubling there.
+  FakeObject huge{"a\n" + std::string(150 * 1024, 'x') + "\n" + rest};
+  read = huge.ReadSplit(0, 9);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, "a\n" + std::string(150 * 1024, 'x') + "\n");
+  std::vector<uint64_t> sizes = huge.FetchSizes();
+  ASSERT_EQ(sizes.size(), 10u);
+  EXPECT_EQ(sizes[0], RecordAlignedStream::kFirstExtension);
+  EXPECT_EQ(sizes[8], RecordAlignedStream::kMaxExtension);
+  EXPECT_EQ(sizes[9], RecordAlignedStream::kMaxExtension);
+}
+
+TEST(RecordAlignedStreamTest, ObjectWithoutFinalNewline) {
+  FakeObject fake{"aa\nbbbb"};
+  auto read = fake.ReadSplit(0, 3);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, "aa\nbbbb");  // extended to the object's end
+  EXPECT_EQ(fake.fetches, (std::vector<std::pair<uint64_t, uint64_t>>{{4, 6}}));
+  read = fake.ReadSplit(4, 6);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, "");  // "bbbb" began in the previous split
+}
+
+TEST(RecordAlignedStreamTest, FetchErrorFailsTheRead) {
+  FakeObject fake{"aa\nbbbb\ncc\n"};
+  fake.error = Status::Internal("extension read failed");
+  auto read = fake.ReadSplit(0, 4);
+  // The trailing record "bbbb" is incomplete without the extension: the
+  // read fails instead of ending on the clipped "b".
+  EXPECT_FALSE(read.ok());
+  EXPECT_EQ(fake.fetches.size(), 1u);
+}
+
 TEST(BoundedByteQueueTest, DeliversChunksInOrder) {
   BoundedByteQueue queue(16);
   std::thread producer([&] {

@@ -112,9 +112,30 @@ TEST_F(DatasourceTest, StocatorAlignedReadsReassembleObject) {
       auto read = stocator.ReadPartition(p, nullptr);
       ASSERT_TRUE(read.ok()) << read.status();
       EXPECT_FALSE(read->pushdown_executed);
+      // Records are under 256 B, so the alignment costs at most the byte
+      // before the partition and one 256 B extension GET after it.
+      EXPECT_LE(read->bytes_transferred, p.length() + 1 + 256)
+          << "chunk=" << chunk << " first=" << p.first;
+      EXPECT_LE(read->requests, 2) << "chunk=" << chunk << " first=" << p.first;
       reassembled += read->data;
     }
     EXPECT_EQ(reassembled, data) << "chunk=" << chunk;
+  }
+
+  // A record longer than the largest extension GET, read through
+  // partitions that start before, inside and after it.
+  std::string long_data = "head\n" + std::string(70 * 1024, 'x') + "\ntail\n";
+  ASSERT_TRUE(client_->PutObject("data", "long", long_data).ok());
+  for (uint64_t chunk : {4096ULL, 30000ULL, 65536ULL}) {
+    auto partitions = DiscoverPartitions(client_.get(), "data", "long", chunk);
+    ASSERT_TRUE(partitions.ok());
+    std::string reassembled;
+    for (const Partition& p : *partitions) {
+      auto read = stocator.ReadPartition(p, nullptr);
+      ASSERT_TRUE(read.ok()) << read.status();
+      reassembled += read->data;
+    }
+    EXPECT_EQ(reassembled, long_data) << "chunk=" << chunk;
   }
 }
 

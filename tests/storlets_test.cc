@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "csv/csv_storlet.h"
 #include "objectstore/cluster.h"
 #include "scoop/scoop.h"
@@ -338,6 +339,68 @@ TEST_F(StorletClusterTest, RangedGetAlignsRecords) {
   response = GetWithStorlet("obj", "upper", inside);
   ASSERT_EQ(response.status, 206);
   EXPECT_EQ(response.body(), "");
+
+  // The open form aligns like the closed one.
+  Headers open;
+  open.Set(kStorletRangeRecordsHeader, "true");
+  open.Set(kRangeHeader, "bytes=6-");
+  response = GetWithStorlet("obj", "upper", open);
+  ASSERT_EQ(response.status, 206);
+  EXPECT_EQ(response.body(), "CCCC\n");
+
+  // A suffix range cannot be aligned: its start is unknown until the
+  // object size is.
+  Headers suffix;
+  suffix.Set(kStorletRangeRecordsHeader, "true");
+  suffix.Set(kRangeHeader, "bytes=-4");
+  response = GetWithStorlet("obj", "upper", suffix);
+  EXPECT_EQ(response.status, 400);
+
+  // A record longer than the largest extension read, at [5, 70005], read
+  // through ranges that start before, inside and after it.
+  const std::string big(70000, 'x');
+  const std::string data = "aaaa\n" + big + "\ncccc\n";
+  ASSERT_TRUE(client_->PutObject("data", "long", data).ok());
+  const std::string big_upper(70000, 'X');
+  const std::pair<const char*, std::string> cases[] = {
+      {"bytes=0-9", "AAAA\n" + big_upper + "\n"},
+      {"bytes=5-9", big_upper + "\n"},
+      {"bytes=100-200", ""},
+      {"bytes=100-", "CCCC\n"},
+      {"bytes=70006-70010", "CCCC\n"},
+  };
+  for (const auto& [range, want] : cases) {
+    Headers aligned;
+    aligned.Set(kStorletRangeRecordsHeader, "true");
+    aligned.Set(kRangeHeader, range);
+    response = GetWithStorlet("long", "upper", aligned);
+    ASSERT_EQ(response.status, 206) << range;
+    EXPECT_EQ(response.body(), want) << range;
+  }
+}
+
+TEST_F(StorletClusterTest, AlignmentExtensionFaultNeverClipsTheRecord) {
+  ASSERT_TRUE(client_->PutObject("data", "obj", "aaaa\nbbbb\ncccc\n").ok());
+  // The range [0, 7] ends inside "bbbb": completing it takes one extension
+  // read. Let the range's own chunk read pass, then drop the extension's
+  // mid-stream.
+  FailpointSpec drop;
+  drop.action = FailpointSpec::Action::kDrop;
+  drop.skip = 1;
+  drop.max_fires = 1;
+  ASSERT_TRUE(Failpoints::Global().Arm("object.read.chunk", drop).ok());
+  Headers aligned;
+  aligned.Set(kStorletRangeRecordsHeader, "true");
+  aligned.Set(kRangeHeader, "bytes=0-7");
+  HttpResponse response = GetWithStorlet("obj", "upper", aligned);
+  std::string body = response.body();
+  EXPECT_EQ(Failpoints::Global().fires("object.read.chunk"), 1);
+  Failpoints::Global().DisarmAll();
+  // The failed extension fails the GET (the connector's fallback ladder
+  // takes over from there) instead of serving "BBB" plus the error text
+  // as the trailing record.
+  EXPECT_EQ(response.status, 500) << body;
+  EXPECT_NE(body.find("extension read failed"), std::string::npos) << body;
 }
 
 TEST_P(RangeAlignmentTest, PartitionUnionEqualsWholeObject) {
