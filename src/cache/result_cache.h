@@ -34,11 +34,11 @@
 
 namespace scoop {
 
-// Shape of the proxy-tier result cache (scoop/controller config surface).
+// Shape of the proxy-tier result cache (`ScoopCluster::Create`).
 struct ResultCacheConfig {
   // Master switch. Off by default: the middleware is always installed but
-  // passes straight through, so the cache can be enabled at runtime (and
-  // the adaptive controller can turn it back off).
+  // passes straight through, so the cache can be switched on and off at
+  // runtime (`ResultCache::set_enabled`).
   bool enabled = false;
   // Total bytes of cached response bodies across all shards.
   size_t byte_budget = 64ull << 20;

@@ -48,13 +48,12 @@ Result<Stocator::ReadResult> Stocator::ReadPartition(
 Result<Stocator::ReadStats> Stocator::Fallback(
     const Partition& partition,
     const std::function<Status(std::string_view)>& consume,
-    const std::function<Status()>& restart, int wasted_requests,
-    const TraceContext& parent) {
+    const std::function<Status()>& restart, const TraceContext& parent) {
   if (restart) SCOOP_RETURN_IF_ERROR(restart());
   if (fallbacks_counter_ != nullptr) fallbacks_counter_->Increment();
   SCOOP_ASSIGN_OR_RETURN(ReadStats stats,
                          ReadAlignedInto(partition, consume, parent));
-  stats.requests += wasted_requests;
+  ++stats.requests;
   return stats;
 }
 
@@ -169,14 +168,13 @@ Result<Stocator::ReadStats> Stocator::ReadPartitionIntoTraced(
     // crash before the first byte, middleware error). The object itself
     // may be perfectly healthy — degrade to a plain client-side read
     // rather than failing the task (§IV).
-    return Fallback(partition, consume, /*restart=*/nullptr,
-                    /*wasted_requests=*/1, parent);
+    return Fallback(partition, consume, /*restart=*/nullptr, parent);
   }
   if (!response.headers.Has(kStorletExecutedHeader)) {
-    // The store declined (policy): what we would receive is the raw byte
-    // range, not record-aligned. Redo the read the traditional way.
-    return Fallback(partition, consume, /*restart=*/nullptr,
-                    /*wasted_requests=*/0, parent);
+    // The store declined (admin policy, or a QoS degrade): what we would
+    // receive is the raw byte range, not record-aligned. Redo the read
+    // the traditional way; the declined GET was still sent.
+    return Fallback(partition, consume, /*restart=*/nullptr, parent);
   }
 
   ReadStats stats;
@@ -215,8 +213,7 @@ Result<Stocator::ReadStats> Stocator::ReadPartitionIntoTraced(
     Result<std::string> frame = response.TakeBodyStream()->ReadAll();
     if (!frame.ok()) {
       // Stream died before anything was consumed: safe to degrade.
-      return Fallback(partition, consume, /*restart=*/nullptr,
-                      /*wasted_requests=*/1, parent);
+      return Fallback(partition, consume, /*restart=*/nullptr, parent);
     }
     stats.bytes_transferred = frame->size();
     SCOOP_ASSIGN_OR_RETURN(std::string decoded, DecodeCompressedFrame(*frame));
@@ -240,8 +237,7 @@ Result<Stocator::ReadStats> Stocator::ReadPartitionIntoTraced(
     // a raw re-read — only a consumer that can restart from scratch may
     // degrade; otherwise the failure propagates.
     if (restart) {
-      return Fallback(partition, consume, restart, /*wasted_requests=*/1,
-                      parent);
+      return Fallback(partition, consume, restart, parent);
     }
     return drained;
   }

@@ -127,14 +127,12 @@ class Stocator {
       const TraceContext& parent);
 
   // The bottom rung of the ladder: counts the fallback, optionally
-  // restarts the consumer, and redoes the read client-side.
-  // `wasted_requests` is the number of GETs the failed pushdown attempt
-  // already spent (kept in the stats for honest accounting).
+  // restarts the consumer, and redoes the read client-side. The stats
+  // also count the one GET the failed pushdown attempt already spent.
   Result<ReadStats> Fallback(
       const Partition& partition,
       const std::function<Status(std::string_view)>& consume,
-      const std::function<Status()>& restart, int wasted_requests,
-      const TraceContext& parent);
+      const std::function<Status()>& restart, const TraceContext& parent);
 
   SwiftClient* client_;
   MetricRegistry* metrics_;

@@ -19,7 +19,7 @@ inline constexpr char kAuthTokenHeader[] = "X-Auth-Token";
 
 // Stamped (never trusted from the client) by AuthMiddleware after token
 // validation: the authenticated account's service tier, so downstream
-// QoS admission and tier-gated pushdown policy need no auth lookup.
+// QoS admission needs no auth lookup.
 inline constexpr char kTenantTierHeader[] = "X-Scoop-Tenant-Tier";
 
 // Service tier of a tenant; §VII's adaptive-pushdown discussion lets

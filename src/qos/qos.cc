@@ -24,10 +24,6 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-// Smoothing factor of the admission-pressure EWMA (per decision, so it
-// reacts within tens of requests).
-constexpr double kPressureAlpha = 0.05;
-
 }  // namespace
 
 QosTicket::~QosTicket() { controller_->ReleaseSlot(); }
@@ -60,12 +56,15 @@ AdmitResult QosController::Admit(const std::string& account, TenantTier tier,
                                  bool pushdown, int64_t deadline_us,
                                  bool forced_degrade) {
   const QosTierLimits& limits = Limits(tier);
-  // Deadline rung: when the smoothed fair-queue wait already exceeds the
-  // request's budget, running the storlet would blow the deadline — serve
-  // raw bytes instead (the client filters locally, same result).
+  // Queue-delay rungs, both served raw (the client filters locally, same
+  // result): when the smoothed fair-queue wait already exceeds the
+  // request's budget, running the storlet would blow the deadline; and
+  // while the queue is overloaded, storlet slots are kept for gold
+  // tenants (§VII), so bronze pushdown falls back to plain reads.
   bool throttle_pushdown =
       pushdown && (forced_degrade ||
-                   (deadline_us > 0 && QueueEwmaUs() > deadline_us));
+                   (deadline_us > 0 && QueueEwmaUs() > deadline_us) ||
+                   (tier == TenantTier::kBronze && overloaded()));
   AdmitResult result;
   {
     MutexLock lock(mu_);
@@ -109,15 +108,6 @@ AdmitResult QosController::Admit(const std::string& account, TenantTier tier,
       if (sheds_ != nullptr) sheds_->Increment();
       break;
   }
-  // Fold the decision into the admission-pressure EWMA (1 = throttled).
-  int64_t x = result.decision == AdmitDecision::kAdmit ? 0 : 1000;
-  int64_t seen = pressure_pm_.load(std::memory_order_relaxed);
-  int64_t next;
-  do {
-    next = static_cast<int64_t>(kPressureAlpha * x +
-                                (1.0 - kPressureAlpha) * seen);
-  } while (!pressure_pm_.compare_exchange_weak(seen, next,
-                                               std::memory_order_relaxed));
   return result;
 }
 
@@ -228,11 +218,6 @@ int64_t QosController::QueueEwmaUs() const {
   return queue_ewma_us_.load(std::memory_order_relaxed);
 }
 
-double QosController::pressure() const {
-  return static_cast<double>(pressure_pm_.load(std::memory_order_relaxed)) /
-         1000.0;
-}
-
 std::string QosController::ToJson() const {
   struct TenantSnap {
     std::string account;
@@ -258,9 +243,9 @@ std::string QosController::ToJson() const {
   }
   std::string out = StrFormat(
       "{\"enabled\":%s,\"queue_ewma_us\":%lld,\"active_slots\":%d,"
-      "\"pressure\":%.3f,\"tenants\":{",
+      "\"tenants\":{",
       config_.enabled ? "true" : "false",
-      static_cast<long long>(QueueEwmaUs()), active, pressure());
+      static_cast<long long>(QueueEwmaUs()), active);
   bool first = true;
   for (const auto& snap : snaps) {
     const QosTierLimits& limits = Limits(snap.state.tier);

@@ -56,8 +56,9 @@ struct QosConfig {
   // Hard cap on one fair-queue wait; a slot not granted by then is
   // denied (the caller degrades, it does not hang).
   int64_t max_queue_wait_us = 2'000'000;
-  // EWMA above this flips the PolicyStore tier gate: bronze tenants lose
-  // pushdown until the queue drains (§VII).
+  // EWMA above this puts bronze pushdown GETs on the degrade rung: bronze
+  // tenants are served raw until the queue drains, gold keeps pushdown
+  // (§VII).
   int64_t overload_queue_us = 50'000;
 };
 
@@ -89,8 +90,9 @@ class QosTicket {
 
 // One proxy's QoS brain: token buckets keyed by authenticated account,
 // a virtual-time weighted fair queue for storlet dispatch, and the
-// queue-delay EWMA that drives deadline shedding and tier gating.
-// Thread-safe.
+// queue-delay EWMA that drives the deadline and bronze-overload degrade
+// rungs. With the fair queue's slot refusal, it is the only runtime
+// switch that turns pushdown off for a request. Thread-safe.
 class QosController {
  public:
   QosController(QosConfig config, MetricRegistry* metrics);
@@ -102,8 +104,9 @@ class QosController {
   // the request's latency budget (<=0: none). The shed ladder:
   //   admit    — bucket affords the full cost and the EWMA predicts the
   //              deadline holds;
-  //   degrade  — pushdown only: predicted deadline miss, or bucket
-  //              affords a plain request but not pushdown;
+  //   degrade  — pushdown only: predicted deadline miss, a bronze
+  //              tenant while overloaded(), or bucket affords a plain
+  //              request but not pushdown; charged the plain price;
   //   shed     — bucket cannot afford even a plain request; the result
   //              carries the refill-time Retry-After hint.
   // `forced_degrade` is the qos.admit failpoint hook: an armed fault
@@ -125,13 +128,9 @@ class QosController {
   // Smoothed fair-queue wait in microseconds.
   int64_t QueueEwmaUs() const;
 
-  // True while the queue-delay EWMA exceeds overload_queue_us — the
-  // signal that flips the PolicyStore tier gate.
+  // True while the queue-delay EWMA exceeds overload_queue_us; bronze
+  // pushdown GETs admitted meanwhile take the degrade rung.
   bool overloaded() const { return QueueEwmaUs() > config_.overload_queue_us; }
-
-  // Admission-level backpressure signal for load balancing: the fraction
-  // of recent decisions that were degraded or shed, in [0, 1].
-  double pressure() const;
 
   // Per-tenant counters + global queue state as a JSON object (the
   // /__scoop/qos admin endpoint and `scoop_cli qos`).
@@ -183,8 +182,6 @@ class QosController {
   // Queue-delay EWMA in microseconds; written by dispatching waiters
   // under no lock (CAS loop), read by admission.
   std::atomic<int64_t> queue_ewma_us_{0};  // UNGUARDED: atomic
-  // Admission-pressure EWMA in per-mille (0..1000), same lock-free shape.
-  std::atomic<int64_t> pressure_pm_{0};  // UNGUARDED: atomic
 
   mutable Mutex mu_{"qos_tenants", lockrank::kQosTenants};
   std::map<std::string, TenantState> tenants_ GUARDED_BY(mu_);

@@ -48,11 +48,6 @@ HttpResponse QosMiddleware::Process(Request& request,
                 : admitted.decision == AdmitDecision::kDegrade ? "degrade"
                                                                : "shed");
   }
-  // Relay the queue-pressure signal into tier-gated pushdown policy.
-  if (policies_ != nullptr) {
-    policies_->SetTierGate(controller_->overloaded());
-  }
-
   switch (admitted.decision) {
     case AdmitDecision::kAdmit:
       return next(request);

@@ -9,28 +9,24 @@
 
 #include "objectstore/middleware.h"
 #include "qos/qos.h"
-#include "storlets/policy.h"
 
 namespace scoop {
 namespace qos {
 
 // Per-request admission: token-bucket check keyed by the account in the
-// (auth-validated) path, the deadline-vs-EWMA degrade rung, and the 503 +
-// Retry-After shed rung. Also relays the controller's overload signal
-// into the PolicyStore tier gate (§VII: bronze loses pushdown under
-// load).
+// (auth-validated) path, the degrade rung (bucket short of the pushdown
+// price, deadline predicted missed, or a bronze tenant while the storlet
+// queue is overloaded — §VII), and the 503 + Retry-After shed rung.
 class QosMiddleware : public Middleware {
  public:
-  QosMiddleware(std::shared_ptr<QosController> controller,
-                PolicyStore* policies)
-      : controller_(std::move(controller)), policies_(policies) {}
+  explicit QosMiddleware(std::shared_ptr<QosController> controller)
+      : controller_(std::move(controller)) {}
 
   std::string name() const override { return "qos"; }
   HttpResponse Process(Request& request, const HttpHandler& next) override;
 
  private:
   std::shared_ptr<QosController> controller_;
-  PolicyStore* policies_;  // may be null (no tier gating)
 };
 
 }  // namespace qos

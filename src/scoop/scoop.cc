@@ -75,8 +75,8 @@ Result<std::unique_ptr<ScoopCluster>> ScoopCluster::Create(
   }
   for (auto& proxy : cluster->swift_->proxies()) {
     if (cluster->qos_ != nullptr) {
-      proxy->pipeline().Use(std::make_shared<qos::QosMiddleware>(
-          cluster->qos_, &cluster->engine_->policies()));
+      proxy->pipeline().Use(
+          std::make_shared<qos::QosMiddleware>(cluster->qos_));
     }
     proxy->pipeline().Use(std::make_shared<ResultCacheMiddleware>(
         cluster->cache_, cluster->flights_, &cluster->swift_->registry(),

@@ -38,19 +38,6 @@ StorletPolicy PolicyStore::Resolve(const std::string& account,
   return default_policy_;
 }
 
-StorletPolicy PolicyStore::Resolve(const std::string& account,
-                                   const std::string& container,
-                                   TenantTier tier) const {
-  StorletPolicy policy = Resolve(account, container);
-  if (policy.pushdown_enabled && tier == TenantTier::kBronze &&
-      tier_gate()) {
-    // Under load, storlet CPU is reserved for gold tenants; bronze
-    // requests fall back to plain reads until the queue drains.
-    policy.pushdown_enabled = false;
-  }
-  return policy;
-}
-
 bool PolicyStore::Allows(const StorletPolicy& policy,
                          const std::string& storlet) {
   if (!policy.pushdown_enabled) return false;

@@ -5,7 +5,6 @@
 #ifndef SCOOP_STORLETS_POLICY_H_
 #define SCOOP_STORLETS_POLICY_H_
 
-#include <atomic>
 #include <map>
 #include <optional>
 #include <string>
@@ -13,7 +12,6 @@
 
 #include "common/result.h"
 #include "common/sync.h"
-#include "objectstore/auth.h"
 
 namespace scoop {
 
@@ -51,28 +49,11 @@ class PolicyStore {
   StorletPolicy Resolve(const std::string& account,
                         const std::string& container) const;
 
-  // Tier-aware resolution (§VII): identical to the two-argument form
-  // except that while the tier gate is raised, bronze tenants lose
-  // pushdown — gold tenants keep their policy untouched. The previously
-  // dormant TenantTier becomes load-bearing here.
-  StorletPolicy Resolve(const std::string& account,
-                        const std::string& container, TenantTier tier) const;
-
-  // Raises/lowers the tier gate. Driven by the QoS controller's overload
-  // signal (queue-delay EWMA above threshold); admins may also pin it.
-  void SetTierGate(bool shedding) {
-    tier_gate_.store(shedding, std::memory_order_relaxed);
-  }
-  bool tier_gate() const {
-    return tier_gate_.load(std::memory_order_relaxed);
-  }
-
   // True when `storlet` may run under `policy`.
   static bool Allows(const StorletPolicy& policy, const std::string& storlet);
 
  private:
   mutable Mutex mu_{"policy_store", lockrank::kPolicy};
-  std::atomic<bool> tier_gate_{false};  // UNGUARDED: atomic flag
   StorletPolicy default_policy_ GUARDED_BY(mu_);
   std::map<std::string, StorletPolicy> account_policies_ GUARDED_BY(mu_);
   std::map<std::pair<std::string, std::string>, StorletPolicy>

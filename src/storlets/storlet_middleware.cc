@@ -4,7 +4,6 @@
 
 #include "common/failpoint.h"
 #include "common/strings.h"
-#include "objectstore/auth.h"
 #include "objectstore/object_server.h"
 #include "storlets/headers.h"
 
@@ -65,9 +64,8 @@ HttpResponse StorletMiddleware::Process(Request& request,
   }
   if (invocations->empty()) return next(request);
 
-  StorletPolicy policy = engine_->policies().Resolve(
-      path->account, path->container,
-      ParseTenantTier(request.headers.GetOr(kTenantTierHeader, "gold")));
+  StorletPolicy policy =
+      engine_->policies().Resolve(path->account, path->container);
   if (!policy.pushdown_enabled) {
     // Pushdown disabled for this scope: serve the raw data; the client
     // detects the missing X-Storlet-Executed header and filters locally.

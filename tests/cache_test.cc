@@ -22,7 +22,6 @@
 #include "common/strings.h"
 #include "csv/agg_storlet.h"
 #include "sql/agg_wire.h"
-#include "scoop/controller.h"
 #include "scoop/scoop.h"
 #include "storlets/headers.h"
 #include "workload/generator.h"
@@ -133,7 +132,7 @@ TEST(ResultCacheTest, InvalidateObjectDropsEveryQueryVariant) {
 }
 
 TEST(ResultCacheTest, InvalidationWorksWhileDisabled) {
-  // A PUT landing while the controller has the cache switched off must
+  // A PUT landing while an operator has the cache switched off must
   // still drop the stale entry, or re-enabling would serve it.
   MetricRegistry metrics;
   ResultCache cache(SmallConfig(1 << 20), &metrics);
@@ -693,25 +692,6 @@ TEST_F(CacheEndToEndTest, LookupAndFillSpansSitUnderProxyRequest) {
   }
   EXPECT_EQ(lookups, 2);
   EXPECT_EQ(fills, 1);
-}
-
-TEST_F(CacheEndToEndTest, ControllerDisablesColdCache) {
-  AdaptivePushdownController::Options options;
-  options.min_cache_hit_ratio = 0.5;
-  options.min_cache_lookups_per_window = 4;
-  AdaptivePushdownController controller(cluster_.get(), options);
-  controller.Tick();  // baseline window
-
-  // All-miss traffic: distinct objects, no repeats.
-  for (const char* object : {"m0000.csv", "m0001.csv", "m0002.csv",
-                             "m0003.csv", "m0004.csv"}) {
-    HttpResponse response = PushdownGet(object);
-    ASSERT_TRUE(response.ok());
-  }
-  EXPECT_EQ(controller.WindowCacheLookups(), 5);
-  controller.Tick();
-  EXPECT_TRUE(controller.cache_disabled());
-  EXPECT_FALSE(cluster_->result_cache().enabled());
 }
 
 // ---------------------------------------------------------------------------

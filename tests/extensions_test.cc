@@ -1,6 +1,7 @@
 // Tests of the beyond-the-prototype capabilities the paper sketches:
 // filter+compression pipelines (§VI-C), partial aggregation at the store
-// (§IV/§VII), and the Crystal-like adaptive pushdown controller (§VII).
+// (§IV/§VII), image-metadata pushdown and the DataFrame API. Adaptive
+// pushdown (§VII) is the QoS overload rung, tested in qos_test.cc.
 #include <gtest/gtest.h>
 
 #include "common/lz.h"
@@ -9,7 +10,6 @@
 #include "csv/agg_storlet.h"
 #include "mediameta/image_format.h"
 #include "mediameta/image_meta_storlet.h"
-#include "scoop/controller.h"
 #include "scoop/scoop.h"
 #include "storlets/compress_storlet.h"
 #include "storlets/headers.h"
@@ -242,65 +242,6 @@ TEST_F(ExtensionClusterTest, AggStorletViaStorletRdd) {
     ++i;
   }
 }
-
-TEST_F(ExtensionClusterTest, ControllerDemotesBronzeUnderLoad) {
-  AdaptivePushdownController::Options options;
-  options.cpu_budget_seconds_per_window = 1e-9;  // trip immediately
-  AdaptivePushdownController controller(cluster_.get(), options);
-  controller.SetTier("acct", TenantTier::kBronze);
-
-  CsvSourceOptions source_options;
-  source_options.chunk_size = 32 * 1024;
-  session_->RegisterCsvTable("meters", "meters", "m", schema_, true,
-                             source_options);
-  const char* kSql =
-      "SELECT city, count(*) AS n FROM meters WHERE city LIKE 'Paris' "
-      "GROUP BY city";
-
-  // Window 1: pushdown allowed; the run burns storlet CPU.
-  EXPECT_FALSE(controller.Tick());
-  auto before = session_->Sql(kSql);
-  ASSERT_TRUE(before.ok());
-  EXPECT_GT(before->stats.partitions_pushdown, 0);
-  EXPECT_GT(controller.WindowCpuSeconds(), 0.0);
-
-  // Window 2: over budget -> bronze demoted; results unchanged.
-  EXPECT_TRUE(controller.Tick());
-  auto after = session_->Sql(kSql);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->stats.partitions_pushdown, 0);
-  EXPECT_EQ(after->table.ToCsv(), before->table.ToCsv());
-
-  // Window 3: no storlet activity happened (demoted), budget recovers.
-  EXPECT_FALSE(controller.Tick());
-  auto recovered = session_->Sql(kSql);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_GT(recovered->stats.partitions_pushdown, 0);
-}
-
-TEST_F(ExtensionClusterTest, ControllerAdvisesOnFilterEffectiveness) {
-  AdaptivePushdownController controller(cluster_.get(), {});
-  // Highly selective predicate: worth pushing.
-  auto selective = controller.AdvisePushdownSql(
-      "SELECT vid FROM meters WHERE date LIKE '2015-01-02 10%'", schema_);
-  ASSERT_TRUE(selective.ok());
-  EXPECT_TRUE(*selective);
-  // No filter, full width: nothing to gain.
-  auto full = controller.AdvisePushdownSql("SELECT * FROM meters", schema_);
-  ASSERT_TRUE(full.ok());
-  EXPECT_FALSE(*full);
-  // No filter but narrow projection: column pruning still pays.
-  auto projected =
-      controller.AdvisePushdownSql("SELECT vid FROM meters", schema_);
-  ASSERT_TRUE(projected.ok());
-  EXPECT_TRUE(*projected);
-  // Filter expected to keep nearly everything: not worth it.
-  auto weak = controller.AdvisePushdownSql(
-      "SELECT * FROM meters WHERE vid != 1", schema_);
-  ASSERT_TRUE(weak.ok());
-  EXPECT_FALSE(*weak);
-}
-
 
 TEST(ImageFormatTest, RoundtripAndHeaderOnlyDecode) {
   SimpleImage image;

@@ -176,6 +176,14 @@ TEST_F(ScoopIntegrationTest, BronzeTenantFallsBackToPlainIngest) {
   EXPECT_EQ(bronze->stats.partitions_pushdown, 0);
   EXPECT_EQ(bronze->table.ToCsv(), gold->table.ToCsv());
   EXPECT_GT(bronze->stats.bytes_ingested, gold->stats.bytes_ingested);
+  // Each declined pushdown GET was sent before the plain re-read, so the
+  // scan costs one request per partition over a plain scan.
+  std::string plain_sql = sql;
+  plain_sql.replace(plain_sql.find("largeMeter"), 10, "plainMeter");
+  auto plain = session_->Sql(plain_sql);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_EQ(bronze->stats.requests,
+            plain->stats.requests + bronze->stats.partitions);
   cluster_->policies().ClearContainerPolicy("gp", "meters");
 }
 
