@@ -82,21 +82,27 @@ void BM_CsvBatchParse(benchmark::State& state) {
 }
 BENCHMARK(BM_CsvBatchParse);
 
-// The CSVStorlet in its three Fig. 5 modes.
+// The CSVStorlet in its three Fig. 5 modes. Each iteration streams the
+// one shared input buffer without copying it.
 void RunStorletBenchmark(benchmark::State& state, StorletParams params) {
-  std::string csv = SampleCsv(20000);
+  auto csv = std::make_shared<const std::string>(SampleCsv(20000));
   params["schema"] = GridPocketGenerator::MeterSchema().ToSpec();
+  std::string output;
   for (auto _ : state) {
     CsvStorlet storlet;
-    StorletInputStream in(csv);
-    StorletOutputStream out;
+    SharedBufferByteStream source(csv, *csv);
+    StorletInputStream in(&source);
+    output.clear();
+    StringByteSink sink(&output);
+    StorletOutputStream out(&sink);
     StorletLogger logger;
     Status s = storlet.Invoke(in, out, params, logger);
     if (!s.ok()) state.SkipWithError(s.ToString().c_str());
-    benchmark::DoNotOptimize(out.bytes_written());
+    out.Flush();
+    benchmark::DoNotOptimize(output.size());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(csv.size()));
+                          static_cast<int64_t>(csv->size()));
 }
 
 void BM_CsvStorletRowDiscard(benchmark::State& state) {
@@ -204,13 +210,11 @@ void BM_SqlPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_SqlPlan);
 
-// Buffered vs streaming engine pipeline on the Fig. 5 selectivity
-// workload (CSVStorlet with a row-discarding predicate). Both modes must
-// deliver the same throughput; the peak_buffered_bytes counter shows the
-// memory story — the buffered path holds whole stage copies
-// (O(object_size)), the streaming path only its bounded queues
-// (O(chunk_size x pipeline_depth)).
-void RunSelectivityPipeline(benchmark::State& state, bool streaming) {
+// The engine pipeline on the Fig. 5 selectivity workload (CSVStorlet
+// with a row-discarding predicate). The peak_buffered_bytes counter shows
+// the memory story: the inter-stage queues hold O(chunk_size x
+// pipeline_depth), never the object.
+void BM_PushdownPipelineStreaming(benchmark::State& state) {
   static std::unique_ptr<ScoopCluster>* cluster = [] {
     auto created = ScoopCluster::Create();
     if (!created.ok()) std::abort();
@@ -226,28 +230,19 @@ void RunSelectivityPipeline(benchmark::State& state, bool streaming) {
   gauge->Reset();
 
   for (auto _ : state) {
-    if (streaming) {
-      auto pipeline = engine.RunPipelineStreaming(
-          "acct", "data", invocations,
-          std::make_shared<StringByteStream>(csv, engine.chunk_size()));
-      if (!pipeline.ok()) {
-        state.SkipWithError(pipeline.status().ToString().c_str());
-        break;
-      }
-      auto output = pipeline->output->ReadAll();
-      if (!output.ok()) {
-        state.SkipWithError(output.status().ToString().c_str());
-        break;
-      }
-      benchmark::DoNotOptimize(output->size());
-    } else {
-      auto result = engine.RunPipeline("acct", "data", invocations, csv);
-      if (!result.ok()) {
-        state.SkipWithError(result.status().ToString().c_str());
-        break;
-      }
-      benchmark::DoNotOptimize(result->output.size());
+    auto pipeline = engine.RunPipelineStreaming(
+        "acct", "data", invocations,
+        std::make_shared<StringByteStream>(csv, engine.chunk_size()));
+    if (!pipeline.ok()) {
+      state.SkipWithError(pipeline.status().ToString().c_str());
+      break;
     }
+    auto output = pipeline->output->ReadAll();
+    if (!output.ok()) {
+      state.SkipWithError(output.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(output->size());
   }
   state.counters["peak_buffered_bytes"] =
       benchmark::Counter(static_cast<double>(gauge->peak()));
@@ -255,15 +250,6 @@ void RunSelectivityPipeline(benchmark::State& state, bool streaming) {
       benchmark::Counter(static_cast<double>(csv.size()));
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(csv.size()));
-}
-
-void BM_PushdownPipelineBuffered(benchmark::State& state) {
-  RunSelectivityPipeline(state, false);
-}
-BENCHMARK(BM_PushdownPipelineBuffered);
-
-void BM_PushdownPipelineStreaming(benchmark::State& state) {
-  RunSelectivityPipeline(state, true);
 }
 BENCHMARK(BM_PushdownPipelineStreaming);
 

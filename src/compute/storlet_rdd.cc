@@ -4,17 +4,16 @@
 
 namespace scoop {
 
-Status StorletRdd::InvokeOn(
-    const std::string& object, bool* executed_at_store,
-    const std::function<Status(std::string_view)>& consume) {
+Status StorletRdd::InvokeOn(PartitionOutput* out) {
   // Client edge: each per-object invocation roots its own trace, the
   // whole store-side tree for that object hangs below it.
   TraceSpan span("storletrdd.object");
   if (span.active()) {
-    span.SetTag("object", object);
+    span.SetTag("object", out->object);
     span.SetTag("storlet", storlet_);
   }
-  std::string path = "/" + client_->account() + "/" + container_ + "/" + object;
+  std::string path =
+      "/" + client_->account() + "/" + container_ + "/" + out->object;
   Request request = Request::Get(path);
   request.headers.Set(kRunStorletHeader, storlet_);
   for (const auto& [key, value] : params_) {
@@ -28,10 +27,11 @@ Status StorletRdd::InvokeOn(
                             response.body());
   }
   // When the store declined (policy off), the body is the raw object.
-  *executed_at_store = response.headers.Has(kStorletExecutedHeader);
-  // Drain the invocation's output incrementally; a filter failure after
-  // the first chunk surfaces here as the stream's error.
-  return response.TakeBodyStream()->DrainTo(consume);
+  out->executed_at_store = response.headers.Has(kStorletExecutedHeader);
+  // A filter failure after the first chunk surfaces here as the stream's
+  // error.
+  SCOOP_ASSIGN_OR_RETURN(out->output, response.TakeBodyStream()->ReadAll());
+  return Status::OK();
 }
 
 Result<std::vector<StorletRdd::PartitionOutput>> StorletRdd::Collect() {
@@ -40,42 +40,11 @@ Result<std::vector<StorletRdd::PartitionOutput>> StorletRdd::Collect() {
   std::vector<PartitionOutput> outputs(objects.size());
   std::vector<Status> statuses(objects.size(), Status::OK());
   ParallelFor(*pool_, objects.size(), [&](size_t index) {
-    PartitionOutput& out = outputs[index];
-    out.object = objects[index].name;
-    auto append = [&out](std::string_view chunk) {
-      out.output.append(chunk);
-      return Status::OK();
-    };
-    statuses[index] = InvokeOn(out.object, &out.executed_at_store, append);
+    outputs[index].object = objects[index].name;
+    statuses[index] = InvokeOn(&outputs[index]);
   });
   for (const Status& status : statuses) SCOOP_RETURN_IF_ERROR(status);
   return outputs;
-}
-
-Result<std::string> StorletRdd::CollectConcatenated() {
-  SCOOP_ASSIGN_OR_RETURN(std::vector<PartitionOutput> outputs, Collect());
-  std::string out;
-  for (PartitionOutput& output : outputs) out += output.output;
-  return out;
-}
-
-Status StorletRdd::ForEachChunk(
-    const std::function<Status(const std::string& object,
-                               std::string_view chunk,
-                               bool executed_at_store)>& consume) {
-  SCOOP_ASSIGN_OR_RETURN(std::vector<ObjectInfo> objects,
-                         client_->ListObjects(container_, prefix_));
-  std::vector<Status> statuses(objects.size(), Status::OK());
-  ParallelFor(*pool_, objects.size(), [&](size_t index) {
-    const std::string& object = objects[index].name;
-    bool executed = false;
-    auto forward = [&](std::string_view chunk) {
-      return consume(object, chunk, executed);
-    };
-    statuses[index] = InvokeOn(object, &executed, forward);
-  });
-  for (const Status& status : statuses) SCOOP_RETURN_IF_ERROR(status);
-  return Status::OK();
 }
 
 }  // namespace scoop

@@ -38,26 +38,12 @@ class StorletRdd {
   // store chunk by chunk; only the accumulated output is materialized.
   Result<std::vector<PartitionOutput>> Collect();
 
-  // Concatenated outputs (convenience for text-producing storlets).
-  Result<std::string> CollectConcatenated();
-
-  // Fully-streaming form: the storlet's output for each object is handed
-  // to `consume` chunk by chunk as it is produced, never materialized.
-  // Chunks of one object arrive in order; objects run as parallel tasks,
-  // so `consume` must tolerate interleaving across objects (it is called
-  // concurrently from pool workers).
-  Status ForEachChunk(
-      const std::function<Status(const std::string& object,
-                                 std::string_view chunk,
-                                 bool executed_at_store)>& consume);
-
  private:
-  // The per-object task: invokes the storlet on `object` under its own
-  // root span and drains the output through `consume`. Sets
-  // `executed_at_store` before the first chunk (false: the store declined
-  // and the body is the raw object).
-  Status InvokeOn(const std::string& object, bool* executed_at_store,
-                  const std::function<Status(std::string_view)>& consume);
+  // The per-object task: invokes the storlet on `out->object` under its
+  // own root span, drains the output into `out->output` and sets
+  // `out->executed_at_store` (false: the store declined and the body is
+  // the raw object).
+  Status InvokeOn(PartitionOutput* out);
 
   SwiftClient* client_;
   ThreadPool* pool_;

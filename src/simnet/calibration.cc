@@ -14,8 +14,11 @@ namespace {
 Result<double> TimeStorlet(const std::string& data,
                            const StorletParams& params) {
   CsvStorlet storlet;
-  StorletInputStream in(data);
-  StorletOutputStream out;
+  StringByteStream source(data);
+  StorletInputStream in(&source);
+  std::string output;
+  StringByteSink sink(&output);
+  StorletOutputStream out(&sink);
   StorletLogger logger;
   Stopwatch watch;
   SCOOP_RETURN_IF_ERROR(storlet.Invoke(in, out, params, logger));

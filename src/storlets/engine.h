@@ -1,6 +1,6 @@
 // The storlet engine: resolves deployed filters from the registry,
-// checks policy, and runs single invocations or multi-stage streaming
-// pipelines (one thread per stage, bounded SPSC queues between them —
+// checks policy, and runs every invocation, GET or PUT, as a streaming
+// pipeline (one thread per stage, bounded SPSC queues between them —
 // DESIGN.md §3c). Stage threads open "storlet.stage" trace spans and
 // feed the storlet.stage_us histogram (DESIGN.md §3f). Queue locking per
 // DESIGN.md §3d.
@@ -44,12 +44,15 @@ class StorletEngine {
   static Result<std::vector<StorletInvocation>> ParseInvocations(
       const Headers& headers);
 
-  // Runs the pipeline over `data` for the given scope; enforces policy.
-  // On success the final stage's output replaces the data.
+  // Runs RunPipelineStreaming over `data` and drains it: the upload (ETL)
+  // path and callers holding a whole input in memory. Returns the final
+  // stage's output and the storlets' metadata (trailer names without the
+  // X-Object-Meta- prefix); `usage` and `log_lines` stay empty. Errors are
+  // RunPipelineStreaming's, or a stage failure during the drain.
   Result<SandboxResult> RunPipeline(
       const std::string& account, const std::string& container,
-      const std::vector<StorletInvocation>& invocations,
-      std::string_view data) const;
+      const std::vector<StorletInvocation>& invocations, std::string_view data,
+      const TraceContext& parent = {}) const;
 
   // The pipelined (§IV-B) form: stage i+1 consumes stage i's chunks as
   // they are produced, connected by bounded queues, so peak buffering is
@@ -91,14 +94,13 @@ class StorletEngine {
   // storlet middleware records its own latency histograms here.
   MetricRegistry* metrics() const { return metrics_; }
 
-  // QoS hook: called once per pipeline run (buffered or streaming, when
-  // at least one storlet would execute) before any thread launches or
-  // byte moves. Returns an opaque ticket that is held until the run is
-  // torn down — for the streaming form that means until the consumer has
-  // drained (or dropped) the output stream, so a granted slot covers the
-  // storlet's whole execution, not just its launch. An error refuses the
-  // invocation: ResourceExhausted / DeadlineExceeded are the polite
-  // refusals the middleware degrades on. Keeping the hook a plain
+  // QoS hook: called once per pipeline run (when at least one storlet
+  // would execute) before any thread launches or byte moves. Returns an
+  // opaque ticket that is held until the run is torn down — until the
+  // consumer has drained (or dropped) the output stream, so a granted
+  // slot covers the storlet's whole execution, not just its launch. An
+  // error refuses the invocation: ResourceExhausted / DeadlineExceeded are
+  // the polite refusals the middleware degrades on. Keeping the hook a plain
   // function preserves the layering (storlets never sees qos).
   using InvocationGate =
       std::function<Result<std::shared_ptr<void>>(const std::string& account)>;

@@ -1,8 +1,8 @@
-// The storlet sandbox: executes filters under resource limits and meters
-// what they consume (storlet.* counters, METRICS.md) — the storage-side
-// cost the paper's §VI-D quantifies. Stands in for the OpenStack
-// framework's Docker isolation, which is orthogonal to the behaviour
-// studied here.
+// The storlet sandbox: runs one pipeline stage's filter between its input
+// and output streams under resource limits and meters what it consumes
+// (storlet.* counters, METRICS.md) — the storage-side cost the paper's
+// §VI-D quantifies. Stands in for the OpenStack framework's Docker
+// isolation, which is orthogonal to the behaviour studied here.
 #ifndef SCOOP_STORLETS_SANDBOX_H_
 #define SCOOP_STORLETS_SANDBOX_H_
 
@@ -35,6 +35,9 @@ struct SandboxUsage {
   uint64_t exec_ns = 0;
 };
 
+// One run's outcome. `output` and `metadata` are what
+// StorletEngine::RunPipeline returns; Sandbox::Execute leaves `output`
+// empty, its bytes having gone to the stage's sink.
 struct SandboxResult {
   std::string output;
   std::map<std::string, std::string> metadata;
@@ -50,30 +53,17 @@ class Sandbox {
   Sandbox(SandboxLimits limits, MetricRegistry* metrics)
       : limits_(limits), metrics_(metrics) {}
 
-  // Runs `storlet` over `input`. The output cap is checked after the run
-  // (filters are single-pass and bounded by input in practice).
-  Result<SandboxResult> Execute(Storlet& storlet, std::string_view input,
+  // Runs `storlet` from `in` to `out` (a pipeline stage reads a
+  // ByteStream and writes a queue sink), then meters the run and checks
+  // the limits: the output cap after the run (filters are single-pass and
+  // bounded by input in practice) and the time budget on wall-clock
+  // exec_ns, which includes time blocked on queue backpressure. An
+  // upstream read error or a downstream sink error also fails the run.
+  Result<SandboxResult> Execute(Storlet& storlet, StorletInputStream& in,
+                                StorletOutputStream& out,
                                 const StorletParams& params) const;
 
-  // Streaming variant: runs `storlet` over caller-provided streams (a
-  // pipelined stage reading a ByteStream and writing a queue sink). The
-  // result's `output` is empty — bytes went to the sink as produced.
-  // Metering and limits match Execute; additionally an upstream read
-  // error or a downstream sink error fails the stage. Note exec_ns is
-  // wall-clock and so includes time blocked on queue backpressure.
-  Result<SandboxResult> ExecuteStreaming(Storlet& storlet,
-                                         StorletInputStream& in,
-                                         StorletOutputStream& out,
-                                         const StorletParams& params) const;
-
  private:
-  // Shared metering + limit enforcement once a run has finished.
-  Result<SandboxResult> FinishRun(Storlet& storlet, Status invoke_status,
-                                  StorletInputStream& in,
-                                  StorletOutputStream& out,
-                                  StorletLogger& logger,
-                                  uint64_t exec_ns) const;
-
   SandboxLimits limits_;
   MetricRegistry* metrics_;
 };

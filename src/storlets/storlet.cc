@@ -2,12 +2,10 @@
 
 #include <cstring>
 
-#include "common/logging.h"
-
 namespace scoop {
 
 bool StorletInputStream::Fill(size_t hint) {
-  if (stream_ == nullptr || stream_eof_) return false;
+  if (stream_eof_) return false;
   // Compact the consumed prefix before growing the staging buffer so it
   // stays bounded by what the storlet leaves unread.
   if (bpos_ > 0) {
@@ -33,14 +31,6 @@ bool StorletInputStream::Fill(size_t hint) {
 }
 
 size_t StorletInputStream::Read(char* buf, size_t n) {
-  if (stream_ == nullptr) {
-    size_t available = data_.size() - pos_;
-    size_t count = std::min(n, available);
-    std::memcpy(buf, data_.data() + pos_, count);
-    pos_ += count;
-    consumed_ += count;
-    return count;
-  }
   // Serve staged bytes first, then pull straight from the stream (no
   // double copy for large reads).
   if (bpos_ < buf_.size()) {
@@ -63,20 +53,6 @@ size_t StorletInputStream::Read(char* buf, size_t n) {
 }
 
 std::optional<std::string_view> StorletInputStream::ReadLine() {
-  if (stream_ == nullptr) {
-    if (pos_ >= data_.size()) return std::nullopt;
-    size_t nl = data_.find('\n', pos_);
-    if (nl == std::string_view::npos) {
-      std::string_view line = data_.substr(pos_);
-      pos_ = data_.size();
-      consumed_ += line.size();
-      return line;
-    }
-    std::string_view line = data_.substr(pos_, nl - pos_);
-    consumed_ += nl + 1 - pos_;
-    pos_ = nl + 1;
-    return line;
-  }
   size_t scan_from = bpos_;
   for (;;) {
     size_t nl = buf_.find('\n', scan_from);
@@ -102,17 +78,15 @@ std::optional<std::string_view> StorletInputStream::ReadLine() {
 }
 
 std::string_view StorletInputStream::Remaining() {
-  if (stream_ == nullptr) return data_.substr(pos_);
-  // Whole-input storlet on a stream backing: drain everything into the
-  // staging buffer. The memory bound is forfeited by the storlet's choice,
-  // not by the transport.
+  // Whole-input storlet: drain everything into the staging buffer. The
+  // memory bound is forfeited by the storlet's choice, not by the
+  // transport.
   while (Fill(kDefaultStreamChunk)) {
   }
   return std::string_view(buf_).substr(bpos_);
 }
 
 bool StorletInputStream::AtEof() {
-  if (stream_ == nullptr) return pos_ >= data_.size();
   if (bpos_ < buf_.size()) return false;
   if (stream_eof_) return true;
   // Probe: the only way to distinguish "more coming" from EOF on a pull
@@ -122,33 +96,21 @@ bool StorletInputStream::AtEof() {
 
 void StorletOutputStream::Write(std::string_view data) {
   bytes_written_ += data.size();
-  buffer_.append(data);
-  if (sink_ != nullptr && buffer_.size() >= flush_chunk_) Flush();
+  pending_.append(data);
+  if (pending_.size() >= flush_chunk_) Flush();
 }
 
 void StorletOutputStream::WriteLine(std::string_view line) {
   bytes_written_ += line.size() + 1;
-  buffer_.append(line);
-  buffer_.push_back('\n');
-  if (sink_ != nullptr && buffer_.size() >= flush_chunk_) Flush();
+  pending_.append(line);
+  pending_.push_back('\n');
+  if (pending_.size() >= flush_chunk_) Flush();
 }
 
 void StorletOutputStream::Flush() {
-  if (sink_ == nullptr || buffer_.empty()) return;
-  if (sink_status_.ok()) sink_status_ = sink_->Write(buffer_);
-  buffer_.clear();
-}
-
-std::string StorletOutputStream::TakeBuffer() {
-  if (taken_) {
-    SCOOP_LOG(kError) << "StorletOutputStream::TakeBuffer called twice; "
-                         "returning empty buffer";
-    return std::string();
-  }
-  taken_ = true;
-  std::string out = std::move(buffer_);
-  buffer_.clear();  // pin the moved-from string to a defined empty state
-  return out;
+  if (pending_.empty()) return;
+  if (sink_status_.ok()) sink_status_ = sink_->Write(pending_);
+  pending_.clear();
 }
 
 }  // namespace scoop

@@ -37,20 +37,14 @@ class StorletLogger {
 
 // Pull-based input stream over the (possibly range-sliced) object data.
 // Storlets consume it once, front to back — the single inbound stream of
-// an object request (paper §IV-A).
-//
-// Two backings, same contract:
-//  * a string_view over fully-buffered data (the classic path), or
-//  * a ByteStream pulled incrementally (the pipelined path, §IV-B), where
-//    only a bounded window is resident at a time. Remaining() on this
-//    backing must buffer the rest, so whole-input storlets lose the
-//    memory bound (but still work).
-// Views returned by ReadLine()/Remaining() stay valid only until the next
-// read call in stream mode.
+// an object request (paper §IV-A). It pulls a ByteStream incrementally
+// (the pipelined path, §IV-B), so only a bounded window is resident at a
+// time; Remaining() must buffer the rest, so whole-input storlets lose
+// the memory bound (but still work). Views returned by ReadLine() and
+// Remaining() stay valid only until the next read call.
 class StorletInputStream {
  public:
-  explicit StorletInputStream(std::string_view data) : data_(data) {}
-  // Stream-backed: `stream` is borrowed and must outlive this object.
+  // `stream` is borrowed and must outlive this object.
   explicit StorletInputStream(ByteStream* stream) : stream_(stream) {}
 
   // Copies up to `n` bytes into `buf`; returns the count (0 at EOF).
@@ -60,8 +54,8 @@ class StorletInputStream {
   // unterminated line); nullopt at EOF.
   std::optional<std::string_view> ReadLine();
 
-  // Remaining unread bytes. On a stream backing this drains the stream
-  // into an internal buffer first.
+  // Remaining unread bytes; drains the stream into an internal buffer
+  // first.
   std::string_view Remaining();
   size_t bytes_consumed() const { return consumed_; }
   bool AtEof();
@@ -73,37 +67,27 @@ class StorletInputStream {
   const Status& status() const { return status_; }
 
  private:
-  // Pulls more data from stream_ into buf_ (stream mode). Returns false at
-  // EOF or error.
+  // Pulls more data from stream_ into buf_. Returns false at EOF or error.
   bool Fill(size_t hint);
 
-  // View mode.
-  std::string_view data_;
-  size_t pos_ = 0;
-
-  // Stream mode.
-  ByteStream* stream_ = nullptr;
-  std::string buf_;       // bytes pulled but not yet consumed: [bpos_, size)
+  ByteStream* stream_;
+  std::string buf_;  // bytes pulled but not yet consumed: [bpos_, size)
   size_t bpos_ = 0;
   bool stream_eof_ = false;
-
   size_t consumed_ = 0;
   Status status_ = Status::OK();
 };
 
 // Push-based output stream; whatever the storlet writes becomes the
-// response body the requesting task receives.
-//
-// Buffered by default. When constructed over a ByteSink, writes are
-// coalesced to `flush_chunk` granularity and forwarded downstream as they
-// accumulate — a pipelined stage's output becomes visible to the next
-// stage while this one is still running. Sink errors (the consumer went
-// away) are swallowed at the Write() call — the Invoke contract has no
-// error channel there — and surfaced via sink_status() after the run.
+// response body the requesting task receives. Writes are coalesced to
+// `flush_chunk` granularity and forwarded to the sink as they accumulate
+// — a pipelined stage's output becomes visible to the next stage while
+// this one is still running. Sink errors (the consumer went away) are
+// swallowed at the Write() call — the Invoke contract has no error
+// channel there — and surfaced via sink_status() after the run.
 class StorletOutputStream {
  public:
-  StorletOutputStream() = default;
-  // Sink-backed: `sink` is borrowed and must outlive this object.
+  // `sink` is borrowed and must outlive this object.
   explicit StorletOutputStream(ByteSink* sink,
                                size_t flush_chunk = kDefaultStreamChunk)
       : sink_(sink), flush_chunk_(flush_chunk ? flush_chunk : 1) {}
@@ -116,15 +100,9 @@ class StorletOutputStream {
     metadata_[key] = std::move(value);
   }
 
-  // Forwards any coalesced bytes to the sink (no-op when buffered).
+  // Forwards any coalesced bytes to the sink.
   void Flush();
 
-  const std::string& buffer() const { return buffer_; }
-  // Moves the accumulated buffer out (buffered mode only). May be called
-  // at most once; the buffer is explicitly reset so a second call cannot
-  // observe moved-from garbage — it fails loudly instead.
-  std::string TakeBuffer();
-  bool buffer_taken() const { return taken_; }
   const std::map<std::string, std::string>& metadata() const {
     return metadata_;
   }
@@ -132,10 +110,9 @@ class StorletOutputStream {
   const Status& sink_status() const { return sink_status_; }
 
  private:
-  ByteSink* sink_ = nullptr;
-  size_t flush_chunk_ = kDefaultStreamChunk;
-  std::string buffer_;   // buffered mode: full output; sink mode: pending
-  bool taken_ = false;
+  ByteSink* sink_;
+  size_t flush_chunk_;
+  std::string pending_;  // coalesced bytes not yet forwarded
   size_t bytes_written_ = 0;
   Status sink_status_ = Status::OK();
   std::map<std::string, std::string> metadata_;

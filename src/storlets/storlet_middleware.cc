@@ -64,16 +64,16 @@ HttpResponse StorletMiddleware::Process(Request& request,
   }
   if (invocations->empty()) return next(request);
 
-  StorletPolicy policy =
-      engine_->policies().Resolve(path->account, path->container);
-  if (!policy.pushdown_enabled) {
-    // Pushdown disabled for this scope: serve the raw data; the client
-    // detects the missing X-Storlet-Executed header and filters locally.
-    return next(request);
-  }
-
   switch (request.method) {
     case HttpMethod::kGet: {
+      StorletPolicy policy =
+          engine_->policies().Resolve(path->account, path->container);
+      if (!policy.pushdown_enabled) {
+        // Pushdown disabled for this scope: serve the raw data; the client
+        // detects the missing X-Storlet-Executed header and filters
+        // locally.
+        return next(request);
+      }
       // GET filters run at the stage the policy selects; a request-level
       // override (X-Storlet-Run-On) may force the proxy stage.
       ExecutionStage effective = policy.stage;
@@ -231,10 +231,18 @@ HttpResponse StorletMiddleware::ProcessGet(
 HttpResponse StorletMiddleware::ProcessPut(
     Request& request, const HttpHandler& next, const ObjectPath& path,
     const std::vector<StorletInvocation>& invocations) {
+  // The upload's stages join the request's trace.
   auto result = engine_->RunPipeline(path.account, path.container, invocations,
-                                     request.body);
+                                     request.body,
+                                     TraceContextFromHeaders(request.headers));
   if (!result.ok()) {
-    if (result.status().IsUnauthorized()) return next(request);
+    if (result.status().IsUnauthorized()) {
+      // Unlike a GET, an upload has no raw fallback: storing the bytes
+      // untransformed would answer 201 for data the client asked to be
+      // changed. A pipeline the policy refuses (pushdown disabled, or a
+      // storlet off the allow-list) refuses the write.
+      return HttpResponse::Make(403, result.status().ToString());
+    }
     if (result.status().IsResourceExhausted() ||
         result.status().IsDeadlineExceeded()) {
       // A PUT-side ETL transform cannot be silently skipped (it changes

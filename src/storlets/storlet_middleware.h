@@ -29,10 +29,12 @@ namespace scoop {
 //    ETL-on-upload path. Executed at the proxy stage, ahead of
 //    replication, so every replica stores the transformed data.
 //
-// When the policy disables pushdown (e.g., a bronze tenant under §VII's
-// adaptive control), the middleware serves the request un-filtered and the
+// When the policy refuses the pipeline (pushdown disabled for the scope,
+// or a storlet off its allow-list), a GET is served un-filtered and the
 // client falls back to compute-side filtering; it can tell by the absence
-// of the X-Storlet-Executed response header.
+// of the X-Storlet-Executed response header. A PUT is refused with 403
+// instead: its transform cannot be skipped without changing what is
+// stored.
 class StorletMiddleware : public Middleware {
  public:
   StorletMiddleware(ExecutionStage stage, std::shared_ptr<StorletEngine> engine)

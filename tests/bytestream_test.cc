@@ -1,7 +1,7 @@
 // Tests of the chunked streaming data path: the ByteStream backings, the
-// bounded inter-stage queue, the dual-mode storlet streams, the lazy
-// HttpResponse body, and end-to-end equivalence of the streamed and
-// buffered pipelines across chunk sizes.
+// bounded inter-stage queue, the stream-backed storlet streams, the lazy
+// HttpResponse body, and byte-identical pipeline output across chunk
+// sizes.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -308,8 +308,8 @@ TEST(StorletInputStreamTest, StreamModeReadAndRemaining) {
   EXPECT_EQ(in.Read(buf, 4), 3u);  // one chunk per pull
   EXPECT_EQ(std::string_view(buf, 3), "012");
   EXPECT_FALSE(in.AtEof());
-  // Remaining() is a peek, same as on the view backing: it stages the rest
-  // of the stream but does not consume it.
+  // Remaining() is a peek: it stages the rest of the stream but does not
+  // consume it.
   EXPECT_EQ(in.Remaining(), "3456789");
   EXPECT_EQ(in.bytes_consumed(), 3u);
   char rest[16];
@@ -328,20 +328,6 @@ TEST(StorletInputStreamTest, UpstreamErrorReadsAsEofWithStatus) {
   EXPECT_EQ(*in.ReadLine(), "data");
   EXPECT_FALSE(in.ReadLine().has_value());  // error surfaces as EOF here...
   EXPECT_EQ(in.status().code(), StatusCode::kIOError);  // ...then as status
-}
-
-TEST(StorletOutputStreamTest, TakeBufferIsSingleUse) {
-  StorletOutputStream out;
-  out.Write("abc");
-  out.WriteLine("def");
-  EXPECT_EQ(out.bytes_written(), 7u);
-  EXPECT_FALSE(out.buffer_taken());
-  EXPECT_EQ(out.TakeBuffer(), "abcdef\n");
-  EXPECT_TRUE(out.buffer_taken());
-  // A second take must not observe moved-from state: it returns a defined
-  // empty string, and the accounting stands.
-  EXPECT_EQ(out.TakeBuffer(), "");
-  EXPECT_EQ(out.bytes_written(), 7u);
 }
 
 // A sink that records each Write it receives.
@@ -403,9 +389,9 @@ TEST(HttpResponseTest, TakeBodyStreamWrapsEagerBody) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end equivalence: the streamed path must be byte-identical to the
-// buffered result at every chunk size, for plain GETs, ranged GETs,
-// pushdown, and record-aligned pushdown.
+// End-to-end equivalence: every chunk size must be byte-identical to a
+// whole-object-chunk reference, for plain GETs, ranged GETs, pushdown,
+// and record-aligned pushdown.
 
 class UpperStorlet : public Storlet {
  public:
@@ -568,7 +554,7 @@ TEST_F(StreamingEquivalenceTest, PeakBufferingIsChunkBound) {
   Gauge* gauge = cluster_->metrics().GetGauge("storlet.buffered_bytes");
   EXPECT_GT(gauge->peak(), 0);
   // 2 queues x (2-chunk bound + 1 in-flight admission), far below the
-  // object size that the buffered engine would hold resident.
+  // object size.
   EXPECT_LE(gauge->peak(), static_cast<int64_t>(2 * 3 * kChunk));
   EXPECT_LT(gauge->peak(), static_cast<int64_t>(payload_.size()));
   EXPECT_EQ(gauge->value(), 0) << "buffered bytes must drain to zero";
@@ -578,15 +564,17 @@ TEST_F(StreamingEquivalenceTest, PeakBufferingIsChunkBound) {
   EXPECT_GT(cluster_->metrics().GetCounter("storlet.stage1.chunks")->value(),
             1);
 
-  // The buffered engine path over the same data holds whole stage copies:
-  // its peak is at least the object size.
+  // RunPipeline (the upload path) drains the same pipeline over an
+  // in-memory input, under the same bound, to the same bytes.
   cluster_->metrics().ResetAll();
   std::vector<StorletInvocation> invocations = {
       {"grep", {{"needle", "keep"}}}, {"upper", {}}};
-  auto buffered =
+  auto drained =
       cluster_->engine().RunPipeline("acct", "data", invocations, payload_);
-  ASSERT_TRUE(buffered.ok()) << buffered.status();
-  EXPECT_GE(gauge->peak(), static_cast<int64_t>(payload_.size()));
+  ASSERT_TRUE(drained.ok()) << drained.status();
+  EXPECT_EQ(drained->output, response.body());
+  EXPECT_GT(gauge->peak(), 0);
+  EXPECT_LE(gauge->peak(), static_cast<int64_t>(2 * 3 * kChunk));
   EXPECT_EQ(gauge->value(), 0);
 }
 

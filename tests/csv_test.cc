@@ -184,7 +184,8 @@ TEST(CsvStreamBatcherTest, TinyWindowsNeverSplitRecords) {
     if (i % 9 == 0) data += "short,row\n";  // malformed (arity 2 != 3)
     if (i % 11 == 0) data += "\n";          // blank, skipped
   }
-  StorletInputStream input(data);
+  StringByteStream source(data);
+  StorletInputStream input(&source);
   CsvBatchOptions options;
   options.window_bytes = 16;
   options.max_batch_rows = 7;
@@ -221,16 +222,30 @@ TEST(AppendCsvFieldTest, RoundTripsThroughParser) {
   for (size_t i = 0; i < 6; ++i) EXPECT_EQ(parsed[i], fields[i]) << i;
 }
 
+// Runs `storlet` over `data` from a string stream into a string sink;
+// returns the output and, when asked, the storlet's metadata.
+Result<std::string> RunStorlet(Storlet& storlet, const std::string& data,
+                               const StorletParams& params,
+                               std::map<std::string, std::string>* metadata =
+                                   nullptr) {
+  StringByteStream source(data);
+  StorletInputStream in(&source);
+  std::string output;
+  StringByteSink sink(&output);
+  StorletOutputStream out(&sink);
+  StorletLogger logger;
+  Status status = storlet.Invoke(in, out, params, logger);
+  if (!status.ok()) return status;
+  out.Flush();
+  if (metadata != nullptr) *metadata = out.metadata();
+  return output;
+}
+
 class CsvStorletTest : public ::testing::Test {
  protected:
   Result<std::string> Run(const std::string& data, StorletParams params) {
     CsvStorlet storlet;
-    StorletInputStream in(data);
-    StorletOutputStream out;
-    StorletLogger logger;
-    Status status = storlet.Invoke(in, out, params, logger);
-    if (!status.ok()) return status;
-    return out.TakeBuffer();
+    return RunStorlet(storlet, data, params);
   }
 
   const std::string schema_spec_ = "vid:int64,city:string,load:double";
@@ -336,16 +351,6 @@ TEST_F(CsvStorletTest, OutputBytesPinnedForEveryParameterShape) {
 // the agg storlet, the one inter-stage format.
 class StorletPipelineTest : public ::testing::Test {
  protected:
-  Result<std::string> RunOne(Storlet& storlet, const std::string& data,
-                             StorletParams params) {
-    StorletInputStream in(data);
-    StorletOutputStream out;
-    StorletLogger logger;
-    Status status = storlet.Invoke(in, out, params, logger);
-    if (!status.ok()) return status;
-    return out.TakeBuffer();
-  }
-
   const std::string schema_spec_ = "vid:int64,city:string,load:double";
   const std::string data_ =
       "1,Paris,10.5\n"
@@ -359,15 +364,15 @@ class StorletPipelineTest : public ::testing::Test {
 TEST_F(StorletPipelineTest, CsvOutputFeedsAggStorlet) {
   CsvStorlet csv;
   GroupAggStorlet agg;
-  auto text = RunOne(csv, data_,
-                     {{"schema", schema_spec_},
-                      {"projection", "city,load"},
-                      {"selection", "(gt load 5)"}});
+  auto text = RunStorlet(csv, data_,
+                         {{"schema", schema_spec_},
+                          {"projection", "city,load"},
+                          {"selection", "(gt load 5)"}});
   ASSERT_TRUE(text.ok()) << text.status();
-  auto aggregated = RunOne(agg, *text,
-                           {{"schema", "city:string,load:double"},
-                            {"group", "city"},
-                            {"aggs", "sum:load,count:*"}});
+  auto aggregated = RunStorlet(agg, *text,
+                               {{"schema", "city:string,load:double"},
+                                {"group", "city"},
+                                {"aggs", "sum:load,count:*"}});
   ASSERT_TRUE(aggregated.ok()) << aggregated.status();
   // load > 5 keeps rows 1-4; groups sort by key: Nice, Paris, Rotter,dam
   // (the comma-bearing key is re-quoted on output).
@@ -380,13 +385,7 @@ class EtlStorletTest : public ::testing::Test {
                           std::map<std::string, std::string>* metadata =
                               nullptr) {
     EtlStorlet storlet;
-    StorletInputStream in(data);
-    StorletOutputStream out;
-    StorletLogger logger;
-    Status status = storlet.Invoke(in, out, params, logger);
-    if (!status.ok()) return status;
-    if (metadata != nullptr) *metadata = out.metadata();
-    return out.TakeBuffer();
+    return RunStorlet(storlet, data, params, metadata);
   }
 };
 

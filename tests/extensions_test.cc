@@ -20,12 +20,16 @@ namespace {
 
 Result<std::string> RunStorlet(Storlet& storlet, const std::string& data,
                                StorletParams params) {
-  StorletInputStream in(data);
-  StorletOutputStream out;
+  StringByteStream source(data);
+  StorletInputStream in(&source);
+  std::string output;
+  StringByteSink sink(&output);
+  StorletOutputStream out(&sink);
   StorletLogger logger;
   Status status = storlet.Invoke(in, out, params, logger);
   if (!status.ok()) return status;
-  return out.TakeBuffer();
+  out.Flush();
+  return output;
 }
 
 TEST(CompressStorletTest, RoundtripThroughBothFilters) {

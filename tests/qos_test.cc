@@ -598,11 +598,14 @@ TEST_F(QosOverloadTest, BronzeEtlPutIsNeverStoredRaw) {
   etl["split_separator"] = ";";
   etl["split_names"] = "date,time";
   EtlStorlet storlet;
-  StorletInputStream in(dirty);
-  StorletOutputStream out;
+  StringByteStream source(dirty);
+  StorletInputStream in(&source);
+  std::string cleaned;
+  StringByteSink sink(&cleaned);
+  StorletOutputStream out(&sink);
   StorletLogger logger;
   ASSERT_TRUE(storlet.Invoke(in, out, etl, logger).ok());
-  const std::string cleaned = out.TakeBuffer();
+  out.Flush();
   ASSERT_NE(cleaned, dirty);
 
   ASSERT_NO_FATAL_FAILURE(Overload());

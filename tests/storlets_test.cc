@@ -56,13 +56,15 @@ class GrepStorlet : public Storlet {
 };
 
 TEST(StorletStreamsTest, ReadAndReadLine) {
-  StorletInputStream in("ab\ncd\nef");
+  StringByteStream lines("ab\ncd\nef");
+  StorletInputStream in(&lines);
   EXPECT_EQ(*in.ReadLine(), "ab");
   EXPECT_EQ(*in.ReadLine(), "cd");
   EXPECT_EQ(*in.ReadLine(), "ef");  // unterminated final line
   EXPECT_FALSE(in.ReadLine().has_value());
 
-  StorletInputStream in2("hello");
+  StringByteStream hello("hello");
+  StorletInputStream in2(&hello);
   char buf[3];
   EXPECT_EQ(in2.Read(buf, 3), 3u);
   EXPECT_EQ(std::string_view(buf, 3), "hel");
@@ -120,13 +122,24 @@ TEST(PolicyTest, AllowList) {
   EXPECT_FALSE(PolicyStore::Allows(policy, "csvstorlet"));
 }
 
+// Runs `storlet` in `sandbox` from a string stream into `output`.
+Result<SandboxResult> ExecuteOver(const Sandbox& sandbox, Storlet& storlet,
+                                  std::string input, std::string* output) {
+  StringByteStream source(std::move(input));
+  StorletInputStream in(&source);
+  StringByteSink sink(output);
+  StorletOutputStream out(&sink);
+  return sandbox.Execute(storlet, in, out, {});
+}
+
 TEST(SandboxTest, MetersUsage) {
   MetricRegistry metrics;
   Sandbox sandbox(SandboxLimits{}, &metrics);
   UpperStorlet storlet;
-  auto result = sandbox.Execute(storlet, "abc", {});
+  std::string output;
+  auto result = ExecuteOver(sandbox, storlet, "abc", &output);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->output, "ABC");
+  EXPECT_EQ(output, "ABC");
   EXPECT_EQ(result->usage.bytes_in, 3u);
   EXPECT_EQ(result->usage.bytes_out, 3u);
   EXPECT_EQ(metrics.GetCounter("storlet.invocations")->value(), 1);
@@ -140,7 +153,8 @@ TEST(SandboxTest, EnforcesOutputCap) {
   limits.max_output_bytes = 2;
   Sandbox sandbox(limits, &metrics);
   UpperStorlet storlet;
-  auto result = sandbox.Execute(storlet, "abcdef", {});
+  std::string output;
+  auto result = ExecuteOver(sandbox, storlet, "abcdef", &output);
   EXPECT_TRUE(result.status().IsResourceExhausted());
   EXPECT_EQ(metrics.GetCounter("storlet.failures")->value(), 1);
 }
@@ -307,6 +321,47 @@ TEST_F(StorletClusterTest, PutPathTransformsBeforeStorage) {
     ASSERT_TRUE(stored.ok());
     EXPECT_EQ(stored->data, "ABC\nDEF\n");
   }
+}
+
+TEST_F(StorletClusterTest, PutRefusedByPolicyIsNotStored) {
+  // An upload's transform has no raw fallback: whether the scope disables
+  // pushdown or its allow-list leaves the storlet out, the PUT is refused
+  // and nothing is stored.
+  StorletPolicy off;
+  off.pushdown_enabled = false;
+  StorletPolicy only_grep;
+  only_grep.allowed_storlets = {"grep"};
+  for (const StorletPolicy& policy : {off, only_grep}) {
+    cluster_->policies().SetContainerPolicy("acct", "data", policy);
+    Request request = Request::Put("/acct/data/up", "abc\ndef\n");
+    request.headers.Set(kRunStorletHeader, "upper");
+    HttpResponse response = client_->Send(std::move(request));
+    EXPECT_EQ(response.status, 403) << response.body();
+    EXPECT_FALSE(response.headers.Has(kStorletExecutedHeader));
+    EXPECT_TRUE(client_->GetObject("data", "up").status().IsNotFound());
+  }
+}
+
+TEST_F(StorletClusterTest, PutStageCrashStoresNothing) {
+  // An upload's storlet output streams, so a stage can die after some of
+  // it was drained. The upload must still fail as a whole.
+  cluster_->engine().set_chunk_size(64);
+  std::string body;
+  while (body.size() < 2048) body += "abcdefghijklmnop\n";
+  FailpointSpec crash;
+  crash.skip = 3;  // `upper` writes 256 B at a time: crash on the 4th
+  ASSERT_TRUE(Failpoints::Global().Arm("engine.stage_crash", crash).ok());
+  Request request = Request::Put("/acct/data/crash", body);
+  request.headers.Set(kRunStorletHeader, "upper");
+  HttpResponse response = client_->Send(std::move(request));
+  const int64_t fires = Failpoints::Global().fires("engine.stage_crash");
+  Failpoints::Global().DisarmAll();
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(response.status, 500) << response.body();
+  EXPECT_FALSE(response.headers.Has(kStorletExecutedHeader));
+  EXPECT_TRUE(client_->GetObject("data", "crash").status().IsNotFound());
+  EXPECT_EQ(cluster_->metrics().GetGauge("storlet.buffered_bytes")->value(),
+            0);
 }
 
 // Byte-range record alignment (the §V-A extension): any partitioning of an

@@ -408,6 +408,31 @@ TEST_F(TraceEndToEndTest, PushdownQueryYieldsFullSpanTree) {
   EXPECT_GT(metrics.GetHistogram("pushdown.bytes_saved")->count(), 0);
 }
 
+TEST_F(TraceEndToEndTest, EtlUploadStagesJoinThePutTrace) {
+  // An upload's storlets run in the same pipeline as a GET's: each stage
+  // is a storlet.stage span under the PUT's proxy.request, and feeds the
+  // stage histogram.
+  cluster_->traces().Enable();
+  // One object, uploaded through the ETL storlet.
+  Status uploaded =
+      generator_->Upload(&session_->client(), "meters", "etl", 1, true);
+  cluster_->traces().Disable();
+  ASSERT_TRUE(uploaded.ok()) << uploaded;
+
+  std::vector<Span> spans = cluster_->traces().Snapshot();
+  std::map<uint64_t, const Span*> by_id;
+  for (const Span& s : spans) by_id[s.span_id] = &s;
+  const Span* stage = nullptr;
+  for (const Span& s : spans) {
+    if (s.name == "storlet.stage") stage = &s;
+  }
+  ASSERT_NE(stage, nullptr) << "the upload's stage opened no span";
+  auto parent = by_id.find(stage->parent_id);
+  ASSERT_NE(parent, by_id.end());
+  EXPECT_EQ(parent->second->name, "proxy.request");
+  EXPECT_GT(cluster_->metrics().GetHistogram("storlet.stage_us")->count(), 0);
+}
+
 TEST_F(TraceEndToEndTest, DisabledCollectorLeavesNoSpans) {
   auto outcome = session_->Sql("SELECT vid FROM largeMeter");
   ASSERT_TRUE(outcome.ok()) << outcome.status();
