@@ -83,6 +83,13 @@ int Run() {
   latency.Print();
 
   // --- 2. coalescing -------------------------------------------------------
+  // Every herd member must get exactly the uncached bytes.
+  d.cluster->result_cache().set_enabled(false);
+  HttpResponse uncached = d.session->client().Send(PushdownRequest(d.schema));
+  uncached.Materialize();
+  if (!uncached.ok()) std::abort();
+  d.cluster->result_cache().set_enabled(true);
+
   constexpr int kHerd = 12;
   d.cluster->result_cache().Clear();
   const int64_t invocations_before = Metric(d, "storlet.invocations");
@@ -96,6 +103,11 @@ int Run() {
           d.session->client().Send(PushdownRequest(d.schema));
       response.Materialize();
       if (!response.ok()) std::abort();
+      if (response.body() != uncached.body()) {
+        std::fprintf(stderr, "herd member got %zu bytes, uncached %zu\n",
+                     response.body().size(), uncached.body().size());
+        std::abort();
+      }
     });
   }
   for (auto& t : herd) t.join();

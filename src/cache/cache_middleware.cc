@@ -1,8 +1,7 @@
 #include "cache/cache_middleware.h"
 
-#include <algorithm>
+#include <functional>
 #include <utility>
-#include <vector>
 
 #include "common/failpoint.h"
 #include "common/strings.h"
@@ -90,40 +89,30 @@ HttpResponse ResultCacheMiddleware::ProcessGet(Request& request,
   const TraceContext parent = TraceContextFromHeaders(request.headers);
 
   std::optional<CachedResult> hit;
-  Singleflight::Ticket ticket;
+  const char* how = "hit";
+  std::unique_ptr<Singleflight::Lead> lead;
   {
     TraceSpan span("cache.lookup", parent);
     hit = cache_->Lookup(key);
-    if (hit) {
-      span.SetTag("outcome", "hit");
-    } else {
-      // A follower blocks here until the leader publishes the head; that
-      // wait *is* the lookup finding an in-flight identical execution.
-      ticket = flights_->Join(key);
-      switch (ticket.role) {
-        case Singleflight::Role::kLeader:
-          span.SetTag("outcome", "miss");
-          break;
-        case Singleflight::Role::kFollower:
-          span.SetTag("outcome", "coalesced");
-          break;
-        case Singleflight::Role::kBypass:
-          span.SetTag("outcome", "bypass");
-          break;
+    if (!hit) {
+      // A caller that finds the key led blocks here until the leader has
+      // filled its result or failed; that wait *is* the lookup finding
+      // an in-flight identical execution. A caller that leads reads too:
+      // a leader that released between its miss and its Join has filled.
+      lead = flights_->Join(key);
+      hit = cache_->LookupCoalesced(key);
+      if (hit) {
+        how = "coalesced";
+        lead.reset();
       }
     }
+    span.SetTag("outcome", hit ? how : lead ? "miss" : "bypass");
   }
-  if (hit) return ServeHit(std::move(*hit), "hit");
-  switch (ticket.role) {
-    case Singleflight::Role::kLeader:
-      return LeadAndFill(request, next, key, object_path, ticket.flight,
-                         parent);
-    case Singleflight::Role::kFollower:
-      return ServeCoalesced(request, next, std::move(ticket));
-    case Singleflight::Role::kBypass:
-      break;
-  }
-  return next(request);
+  if (hit) return ServeHit(std::move(*hit), how);
+  // The leader filled nothing: run the request uncoalesced.
+  if (!lead) return next(request);
+  return LeadAndFill(request, next, key, object_path, std::move(lead),
+                     parent);
 }
 
 HttpResponse ResultCacheMiddleware::ServeHit(CachedResult result,
@@ -138,47 +127,94 @@ HttpResponse ResultCacheMiddleware::ServeHit(CachedResult result,
   return response;
 }
 
+namespace {
+
+// The leader's response body: passes every chunk through and copies it,
+// up to `max_bytes`, for the fill. A clean EOF fills and only then
+// releases the lead, so the waiters find the entry. An error, a dropped
+// stream or a body over `max_bytes` releases the lead with nothing
+// filled, and the waiters run the request themselves.
+class FillStream : public ByteStream {
+ public:
+  using FillFn = std::function<void(std::string body)>;
+
+  FillStream(std::shared_ptr<ByteStream> inner,
+             std::unique_ptr<Singleflight::Lead> lead, size_t max_bytes,
+             FillFn fill, Counter* drops)
+      : inner_(std::move(inner)),
+        lead_(std::move(lead)),
+        max_bytes_(max_bytes),
+        fill_(std::move(fill)),
+        drops_(drops) {}
+
+  Result<size_t> Read(char* buf, size_t n) override {
+    Result<size_t> r = inner_->Read(buf, n);
+    if (!lead_) return r;
+    if (!r.ok()) {
+      lead_.reset();
+    } else if (*r == 0) {
+      fill_(std::move(body_));
+      lead_.reset();
+    } else if (body_.size() + *r > max_bytes_) {
+      drops_->Increment();
+      std::string().swap(body_);
+      lead_.reset();
+    } else {
+      body_.append(buf, *r);
+    }
+    return r;
+  }
+
+  std::optional<uint64_t> SizeHint() const override {
+    return inner_->SizeHint();
+  }
+
+ private:
+  std::shared_ptr<ByteStream> inner_;
+  // Null once the lead is released: filled, failed or oversized.
+  std::unique_ptr<Singleflight::Lead> lead_;
+  const size_t max_bytes_;
+  FillFn fill_;
+  Counter* drops_;
+  std::string body_;
+};
+
+}  // namespace
+
 HttpResponse ResultCacheMiddleware::LeadAndFill(
     Request& request, const HttpHandler& next, const std::string& key,
-    const std::string& object_path,
-    const std::shared_ptr<Singleflight::Flight>& flight,
+    const std::string& object_path, std::unique_ptr<Singleflight::Lead> lead,
     const TraceContext& parent) {
   HttpResponse response = next(request);
-  if (!response.ok()) {
-    // Followers bypass to their own execution; an error response is
-    // never fanned out or cached.
-    flight->Abort(Status::IOError("coalesced leader got status " +
-                                  std::to_string(response.status)));
+  // Only results a storlet actually produced are cached: a declined
+  // pushdown (raw bytes) is not worth proxy memory. An uncacheable
+  // response releases the lead now, so the waiters run the request
+  // without waiting for this one's drain.
+  if (!response.ok() || !response.headers.Has(kStorletExecutedHeader)) {
     return response;
   }
-  // Only results a storlet actually produced are cached: a declined
-  // pushdown (raw bytes) still fans out to followers — they asked for the
-  // same request and would be declined identically — but is not worth
-  // proxy memory.
-  bool executed = response.headers.Has(kStorletExecutedHeader);
-  Status fill_fault = FailpointCheck("cache.fill", object_path);
-  bool cacheable = executed && fill_fault.ok();
-  if (executed && !fill_fault.ok()) drops_->Increment();
-
-  flight->PublishHead(response.status, response.headers);
+  if (!FailpointCheck("cache.fill", object_path).ok()) {
+    drops_->Increment();
+    return response;
+  }
   std::shared_ptr<const Headers> trailers = response.trailers();
-  std::shared_ptr<ByteStream> inner = response.TakeBodyStream();
-  auto on_complete = [cache = cache_, fills = fills_, drops = drops_,
-                      cacheable, status = response.status, key, object_path,
-                      parent](bool overflowed,
-                              std::shared_ptr<const std::string> body,
-                              Headers headers) {
-    if (!cacheable) return;
-    if (overflowed || !body) {
-      drops->Increment();
-      return;
-    }
+  // The fill runs at EOF, when the producer has published its trailers;
+  // the entry holds the headers with trailers merged, exactly what the
+  // uncached path materializes.
+  auto fill = [cache = cache_, fills = fills_, drops = drops_,
+               status = response.status, headers = response.headers, trailers,
+               key, object_path, parent](std::string body) {
     TraceSpan span("cache.fill", parent);
-    span.SetTag("bytes", std::to_string(body->size()));
+    span.SetTag("bytes", std::to_string(body.size()));
     CachedResult entry;
     entry.status = status;
-    entry.headers = std::move(headers);
-    entry.body = std::move(body);
+    entry.headers = headers;
+    if (trailers) {
+      for (const auto& [name, value] : *trailers) {
+        entry.headers.Set(name, value);
+      }
+    }
+    entry.body = std::make_shared<const std::string>(std::move(body));
     if (cache->Insert(key, object_path, std::move(entry))) {
       fills->Increment();
     } else {
@@ -187,89 +223,10 @@ HttpResponse ResultCacheMiddleware::LeadAndFill(
     }
   };
   response.SetBodyStream(
-      flight->MakeTee(std::move(inner), trailers, std::move(on_complete)),
+      std::make_shared<FillStream>(response.TakeBodyStream(), std::move(lead),
+                                   cache_->max_entry_bytes(), std::move(fill),
+                                   drops_),
       trailers);
-  return response;
-}
-
-namespace {
-
-// The follower's body: reads the leader's fan-out stream, and if the
-// leader dies mid-stream (poisoned queue), re-executes the captured
-// request itself and skips the bytes already delivered. Sound because the
-// pushdown output is deterministic for a given (object, query); if the
-// re-execution resolves differently (e.g. pushdown now declined, so raw
-// bytes instead of filtered ones), the original error is surfaced instead
-// and the client's own fallback ladder takes over.
-class CoalescedBodyStream : public ByteStream {
- public:
-  CoalescedBodyStream(std::shared_ptr<ByteStream> inner, Request request,
-                      HttpHandler next, bool expect_executed)
-      : inner_(std::move(inner)),
-        request_(std::move(request)),
-        next_(std::move(next)),
-        expect_executed_(expect_executed) {}
-
-  Result<size_t> Read(char* buf, size_t n) override {
-    if (failed_) {
-      if (fallback_) return fallback_->Read(buf, n);
-      return error_;
-    }
-    Result<size_t> r = inner_->Read(buf, n);
-    if (r.ok()) {
-      delivered_ += *r;
-      return r;
-    }
-    return FailOver(r.status(), buf, n);
-  }
-
- private:
-  Result<size_t> FailOver(const Status& original, char* buf, size_t n) {
-    failed_ = true;
-    error_ = original;
-    HttpResponse fresh = next_(request_);
-    if (!fresh.ok() ||
-        fresh.headers.Has(kStorletExecutedHeader) != expect_executed_) {
-      return error_;
-    }
-    std::shared_ptr<ByteStream> stream = fresh.TakeBodyStream();
-    // Skip what the leader already delivered to us.
-    uint64_t to_skip = delivered_;
-    std::vector<char> scratch(kDefaultStreamChunk);
-    while (to_skip > 0) {
-      size_t want = static_cast<size_t>(
-          std::min<uint64_t>(to_skip, scratch.size()));
-      Result<size_t> skipped = stream->Read(scratch.data(), want);
-      if (!skipped.ok() || *skipped == 0) return error_;
-      to_skip -= *skipped;
-    }
-    fallback_ = std::move(stream);
-    return fallback_->Read(buf, n);
-  }
-
-  std::shared_ptr<ByteStream> inner_;
-  Request request_;
-  HttpHandler next_;
-  const bool expect_executed_;
-  uint64_t delivered_ = 0;
-  bool failed_ = false;
-  Status error_ = Status::OK();
-  std::shared_ptr<ByteStream> fallback_;
-};
-
-}  // namespace
-
-HttpResponse ResultCacheMiddleware::ServeCoalesced(
-    Request& request, const HttpHandler& next, Singleflight::Ticket ticket) {
-  HttpResponse response;
-  response.status = ticket.status;
-  response.headers = ticket.headers;
-  response.headers.Set(kCacheStatusHeader, "coalesced");
-  bool expect_executed = ticket.headers.Has(kStorletExecutedHeader);
-  response.SetBodyStream(std::make_shared<CoalescedBodyStream>(
-                             std::move(ticket.stream), request, next,
-                             expect_executed),
-                         std::move(ticket.trailers));
   return response;
 }
 

@@ -6,10 +6,11 @@
 //    from the container registry, derive the canonical query fingerprint
 //    from the pushdown headers, and look up (path, ETag, fingerprint).
 //    Hits are served zero-copy from memory (X-Scoop-Cache: hit). Misses
-//    join the singleflight: the leader executes the normal pushdown path
-//    and tees the streamed result into the cache; concurrent identical
-//    requests fan out from the leader's stream (X-Scoop-Cache: coalesced)
-//    and fall back to their own execution if the leader dies mid-stream.
+//    join the singleflight latch: the leader executes the normal pushdown
+//    path and fills its streamed result into the cache at EOF; concurrent
+//    identical requests wait for that fill and are served from it
+//    (X-Scoop-Cache: coalesced), or run the request themselves when the
+//    leader filled nothing.
 //  * PUT/DELETE on an object: after a successful downstream response, all
 //    cached results for that path are dropped. (The ETag in the key makes
 //    overwrite invalidation airtight even without this hook; the explicit
@@ -35,8 +36,8 @@
 namespace scoop {
 
 // Response header marking how the cache layer served a GET: "hit"
-// (served from cache) or "coalesced" (fanned out from a concurrent
-// identical execution). Absent on the uncached path.
+// (served from cache) or "coalesced" (served from the fill of a
+// concurrent identical execution). Absent on the uncached path.
 inline constexpr char kCacheStatusHeader[] = "X-Scoop-Cache";
 
 // Canonical fingerprint of the pushdown query a GET carries: the sorted
@@ -63,10 +64,8 @@ class ResultCacheMiddleware : public Middleware {
   HttpResponse LeadAndFill(Request& request, const HttpHandler& next,
                            const std::string& key,
                            const std::string& object_path,
-                           const std::shared_ptr<Singleflight::Flight>& flight,
+                           std::unique_ptr<Singleflight::Lead> lead,
                            const TraceContext& parent);
-  HttpResponse ServeCoalesced(Request& request, const HttpHandler& next,
-                              Singleflight::Ticket ticket);
 
   std::shared_ptr<ResultCache> cache_;
   std::shared_ptr<Singleflight> flights_;

@@ -38,6 +38,7 @@ ResultCache::ResultCache(const ResultCacheConfig& config,
       enabled_(config.enabled),
       hits_(metrics->GetCounter("cache.hits")),
       misses_(metrics->GetCounter("cache.misses")),
+      coalesced_(metrics->GetCounter("cache.coalesced")),
       evictions_(metrics->GetCounter("cache.evictions")),
       invalidations_(metrics->GetCounter("cache.invalidations")),
       bytes_gauge_(metrics->GetGauge("cache.bytes")),
@@ -72,23 +73,31 @@ size_t ResultCache::EraseLocked(
   return bytes;
 }
 
+std::optional<CachedResult> ResultCache::Find(const std::string& key) {
+  if (!enabled()) return std::nullopt;
+  // The key embeds the object path as its first component, so hashing
+  // the path prefix and hashing via ShardFor agree.
+  Shard& shard = ShardFor(key.substr(0, key.find(kKeySep)));
+  MutexLock lock(shard.mu);
+  auto it = shard.entries.find(key);
+  if (it == shard.entries.end()) return std::nullopt;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+  return it->second.result;
+}
+
 std::optional<CachedResult> ResultCache::Lookup(const std::string& key) {
   if (!enabled()) return std::nullopt;
   Stopwatch watch;
-  std::optional<CachedResult> out;
-  {
-    // The key embeds the object path as its first component, so hashing
-    // the path prefix and hashing via ShardFor agree.
-    Shard& shard = ShardFor(key.substr(0, key.find(kKeySep)));
-    MutexLock lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-      out = it->second.result;
-    }
-  }
+  std::optional<CachedResult> out = Find(key);
   lookup_us_->Record(static_cast<int64_t>(watch.ElapsedSeconds() * 1e6));
   (out ? hits_ : misses_)->Increment();
+  return out;
+}
+
+std::optional<CachedResult> ResultCache::LookupCoalesced(
+    const std::string& key) {
+  std::optional<CachedResult> out = Find(key);
+  if (out) coalesced_->Increment();
   return out;
 }
 

@@ -58,8 +58,9 @@ struct CachedResult {
 };
 
 // Sharded, byte-budgeted LRU over CachedResult. Thread-safe; metrics:
-// cache.hits / cache.misses / cache.evictions / cache.invalidations
-// counters, cache.bytes gauge, cache.lookup_us histogram (METRICS.md).
+// cache.hits / cache.misses / cache.coalesced / cache.evictions /
+// cache.invalidations counters, cache.bytes gauge, cache.lookup_us
+// histogram (METRICS.md).
 class ResultCache {
  public:
   ResultCache(const ResultCacheConfig& config, MetricRegistry* metrics);
@@ -71,6 +72,12 @@ class ResultCache {
   // a hit or a miss and times itself into cache.lookup_us. Returns
   // nullopt when disabled.
   std::optional<CachedResult> Lookup(const std::string& key);
+
+  // The read of a caller that missed and then waited for a concurrent
+  // identical request to fill `key` (cache/singleflight.h). A found entry
+  // counts in cache.coalesced, not cache.hits; nothing found counts
+  // nothing, since the caller's own Lookup already counted its miss.
+  std::optional<CachedResult> LookupCoalesced(const std::string& key);
 
   // Admits a result under `key` for the object at `object_path`
   // ("/account/container/object" — decides the shard). Replaces an
@@ -123,6 +130,8 @@ class ResultCache {
   };
 
   Shard& ShardFor(const std::string& object_path);
+  // Finds `key` and promotes it to most-recently-used; counts nothing.
+  std::optional<CachedResult> Find(const std::string& key);
   // Drops one entry (found under the shard lock). Returns its byte size.
   static size_t EraseLocked(Shard& shard,
                             std::unordered_map<std::string, Entry>::iterator it)
@@ -137,6 +146,7 @@ class ResultCache {
 
   Counter* hits_;
   Counter* misses_;
+  Counter* coalesced_;
   Counter* evictions_;
   Counter* invalidations_;
   Gauge* bytes_gauge_;

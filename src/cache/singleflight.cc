@@ -1,238 +1,29 @@
 #include "cache/singleflight.h"
 
-#include <chrono>
-#include <utility>
-
 namespace scoop {
 
-namespace {
-// A follower waits this long for the leader to publish the response head
-// before giving up and executing the request itself. Generous: in-process
-// leaders publish heads in microseconds; this only guards against a
-// leader wedged by an injected fault.
-constexpr auto kHeadWait = std::chrono::seconds(30);
-}  // namespace
+Singleflight::Lead::~Lead() { owner_->Release(key_); }
 
-Singleflight::Singleflight(MetricRegistry* metrics, size_t max_buffer_bytes,
-                           size_t queue_bytes)
-    : coalesced_(metrics->GetCounter("cache.coalesced")),
-      max_buffer_bytes_(max_buffer_bytes),
-      queue_bytes_(queue_bytes) {}
-
-Singleflight::Ticket Singleflight::Join(const std::string& key) {
-  std::shared_ptr<Flight> flight;
-  {
-    MutexLock lock(mu_);
-    auto it = flights_.find(key);
-    if (it == flights_.end()) {
-      Ticket ticket;
-      ticket.role = Role::kLeader;
-      ticket.flight = std::make_shared<Flight>(this, key, max_buffer_bytes_,
-                                               queue_bytes_);
-      flights_[key] = ticket.flight;
-      return ticket;
-    }
-    flight = it->second;
-  }
-  // Table lock released: JoinAsFollower blocks on the flight's own state.
-  Ticket ticket;
-  if (flight->JoinAsFollower(&ticket)) {
-    ticket.role = Role::kFollower;
-    coalesced_->Increment();
-  } else {
-    ticket.role = Role::kBypass;
-  }
-  return ticket;
-}
-
-int64_t Singleflight::InFlight() const {
+std::unique_ptr<Singleflight::Lead> Singleflight::Join(const std::string& key) {
   MutexLock lock(mu_);
-  return static_cast<int64_t>(flights_.size());
+  if (led_.insert(key).second) {
+    return std::unique_ptr<Lead>(new Lead(this, key));
+  }
+  const auto deadline = std::chrono::steady_clock::now() + max_wait_;
+  while (led_.count(key) != 0) {
+    const auto left = deadline - std::chrono::steady_clock::now();
+    if (left <= std::chrono::steady_clock::duration::zero()) break;
+    released_.WaitFor(mu_, left);
+  }
+  return nullptr;
 }
 
-void Singleflight::Remove(const std::string& key, const Flight* flight) {
-  MutexLock lock(mu_);
-  auto it = flights_.find(key);
-  if (it != flights_.end() && it->second.get() == flight) flights_.erase(it);
-}
-
-// --- Flight -----------------------------------------------------------------
-
-Singleflight::Flight::Flight(Singleflight* owner, std::string key,
-                             size_t max_buffer_bytes, size_t queue_bytes)
-    : owner_(owner),
-      key_(std::move(key)),
-      max_buffer_bytes_(max_buffer_bytes),
-      queue_bytes_(queue_bytes) {}
-
-void Singleflight::Flight::PublishHead(int status, const Headers& headers) {
+void Singleflight::Release(const std::string& key) {
   {
     MutexLock lock(mu_);
-    head_published_ = true;
-    status_ = status;
-    head_headers_ = headers;
+    led_.erase(key);
   }
-  head_cv_.NotifyAll();
-}
-
-bool Singleflight::Flight::JoinAsFollower(Ticket* out) {
-  MutexLock lock(mu_);
-  while (!head_published_ && !aborted_) {
-    if (!head_cv_.WaitFor(mu_, kHeadWait)) return false;
-  }
-  if (aborted_) return false;
-  out->status = status_;
-  out->trailers = fanout_trailers_;
-  if (completed_) {
-    // Joined in the completed-but-not-yet-removed window: serve the final
-    // result directly (equivalent to a cache hit).
-    if (!final_body_) return false;  // overflowed: nothing buffered
-    out->headers = final_headers_;
-    out->stream =
-        std::make_shared<SharedBufferByteStream>(final_body_, *final_body_);
-    return true;
-  }
-  if (overflow_) return false;  // mid-stream prefix is gone
-  out->headers = head_headers_;
-  auto waiter = std::make_shared<Waiter>();
-  waiter->queue = std::make_unique<BoundedByteQueue>(queue_bytes_);
-  waiters_.push_back(waiter);
-  // The Reader keeps the flight (and with it the queue) alive; the prefix
-  // replays what the leader already streamed before this follower joined.
-  auto reader = std::make_shared<BoundedByteQueue::Reader>(
-      waiter->queue.get(), shared_from_this());
-  if (buffer_.empty()) {
-    out->stream = std::move(reader);
-  } else {
-    out->stream =
-        std::make_shared<PrefixedByteStream>(buffer_, std::move(reader));
-  }
-  return true;
-}
-
-void Singleflight::Flight::Append(std::string_view chunk) {
-  std::vector<std::shared_ptr<Waiter>> live;
-  {
-    MutexLock lock(mu_);
-    if (!overflow_) {
-      buffer_.append(chunk);
-      if (buffer_.size() > max_buffer_bytes_) {
-        // Too big to cache or replay; keep fanning out to the followers
-        // already registered, but stop buffering.
-        overflow_ = true;
-        buffer_.clear();
-        buffer_.shrink_to_fit();
-      }
-    }
-    live.reserve(waiters_.size());
-    for (const auto& w : waiters_) {
-      if (w->alive) live.push_back(w);
-    }
-  }
-  // Queue writes happen outside the flight lock: backpressure from a slow
-  // follower must never hold up JoinAsFollower or Abort.
-  for (const auto& w : live) {
-    if (!w->queue->Write(chunk).ok()) {
-      // Follower abandoned its stream; stop feeding it.
-      MutexLock lock(mu_);
-      w->alive = false;
-    }
-  }
-}
-
-void Singleflight::Flight::CompleteOk() {
-  bool overflowed = false;
-  std::shared_ptr<const std::string> body;
-  Headers merged;
-  std::vector<std::shared_ptr<Waiter>> waiters;
-  {
-    MutexLock lock(mu_);
-    if (completed_ || aborted_) return;
-    completed_ = true;
-    overflowed = overflow_;
-    merged = head_headers_;
-    if (leader_trailers_) {
-      for (const auto& [name, value] : *leader_trailers_) {
-        merged.Set(name, value);
-      }
-    }
-    final_headers_ = merged;
-    if (!overflow_) {
-      final_body_ = std::make_shared<const std::string>(std::move(buffer_));
-      body = final_body_;
-    }
-    waiters = waiters_;
-    // Publish the shared trailer map before the queues close: a follower
-    // reads it only after EOF, and the queue close (below, after this
-    // critical section) orders that read after this write; completed-serve
-    // joiners are ordered by mu_ itself.
-    if (leader_trailers_) *fanout_trailers_ = *leader_trailers_;
-  }
-  for (const auto& w : waiters) w->queue->CloseWrite(Status::OK());
-  if (on_complete_) on_complete_(overflowed, std::move(body), std::move(merged));
-  owner_->Remove(key_, this);
-}
-
-void Singleflight::Flight::Abort(Status error) {
-  std::vector<std::shared_ptr<Waiter>> waiters;
-  {
-    MutexLock lock(mu_);
-    if (completed_ || aborted_) return;
-    aborted_ = true;
-    buffer_.clear();
-    waiters = waiters_;
-  }
-  head_cv_.NotifyAll();
-  for (const auto& w : waiters) w->queue->Poison(error);
-  owner_->Remove(key_, this);
-}
-
-class Singleflight::Flight::TeeStream : public ByteStream {
- public:
-  TeeStream(std::shared_ptr<Flight> flight, std::shared_ptr<ByteStream> inner)
-      : flight_(std::move(flight)), inner_(std::move(inner)) {}
-
-  ~TeeStream() override {
-    // Leader abandoned the response mid-stream: fail the followers over
-    // to their own execution rather than leaving them blocked.
-    if (!done_) {
-      flight_->Abort(Status::Aborted("coalesced leader abandoned mid-stream"));
-    }
-  }
-
-  Result<size_t> Read(char* buf, size_t n) override {
-    Result<size_t> r = inner_->Read(buf, n);
-    if (!r.ok()) {
-      done_ = true;
-      flight_->Abort(r.status());
-      return r;
-    }
-    if (*r == 0) {
-      done_ = true;
-      flight_->CompleteOk();
-      return r;
-    }
-    flight_->Append(std::string_view(buf, *r));
-    return r;
-  }
-
-  std::optional<uint64_t> SizeHint() const override {
-    return inner_->SizeHint();
-  }
-
- private:
-  std::shared_ptr<Flight> flight_;
-  std::shared_ptr<ByteStream> inner_;
-  bool done_ = false;
-};
-
-std::shared_ptr<ByteStream> Singleflight::Flight::MakeTee(
-    std::shared_ptr<ByteStream> inner, std::shared_ptr<const Headers> trailers,
-    CompleteFn on_complete) {
-  // Leader-thread-only state: set before the first Read can run.
-  leader_trailers_ = std::move(trailers);
-  on_complete_ = std::move(on_complete);
-  return std::make_shared<TeeStream>(shared_from_this(), std::move(inner));
+  released_.NotifyAll();
 }
 
 }  // namespace scoop

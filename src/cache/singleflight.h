@@ -1,174 +1,72 @@
-// Request coalescing for identical pushdown GETs. When N clients issue
-// the same (object, ETag, query) concurrently, exactly one — the *leader*
-// — executes the storage-side storlet pipeline; its streamed result is
-// teed into a fill buffer (for the cache) and fanned out live to every
-// *follower* through BoundedByteQueues, so a thundering herd costs one
-// storlet invocation (the cache.coalesced counter counts the N-1 saved
-// ones).
+// Request coalescing for identical pushdown GETs: a per-key latch. The
+// first caller of a key *leads*: it runs the request, and the cache
+// middleware fills the leader's result into the ResultCache before it
+// releases the key. A concurrent caller of the same key blocks until that
+// release and then reads the entry the leader filled, so a thundering
+// herd costs one storlet invocation. When the leader filled nothing (its
+// pushdown was declined, it failed, its result was too big), the waiters
+// run the request themselves (DESIGN.md §3g).
 //
-// Protocol (see DESIGN.md §3g):
-//  1. Join(key): first caller becomes kLeader and owns a Flight; it must
-//     either stream the tee to EOF or Abort(). Concurrent callers block
-//     until the leader publishes the response head, then return as
-//     kFollower with (status, headers, stream). kBypass tells the caller
-//     to execute the request itself, uncoalesced (leader aborted, head
-//     overflowed the buffer, or the wait timed out).
-//  2. The leader wraps the storage response stream with MakeTee(): every
-//     chunk is appended to the fill buffer and written to each follower
-//     queue *outside* the flight lock (queue backpressure never holds a
-//     flight lock). At EOF the flight publishes trailers, closes the
-//     queues, and hands (body, trailer-merged headers) to on_complete —
-//     the cache-fill hook.
-//  3. A leader error or abandonment poisons every follower queue; the
-//     follower-side middleware falls back to executing the request
-//     itself (never a hang, never a short body).
-//
-// Lock ranks: the flight table mutex (lockrank::kSingleflight) may be
-// held while acquiring a flight's state mutex (lockrank::kCacheFlight);
-// queue mutexes (lockrank::kQueue) rank above both but are in fact only
-// ever taken with neither held.
+// The latch holds no response state: bytes reach a waiter only through
+// the cache. Lock rank: the key table mutex is lockrank::kSingleflight;
+// nothing else is acquired under it.
 #ifndef SCOOP_CACHE_SINGLEFLIGHT_H_
 #define SCOOP_CACHE_SINGLEFLIGHT_H_
 
-#include <cstdint>
-#include <functional>
-#include <map>
+#include <chrono>
 #include <memory>
+#include <set>
 #include <string>
-#include <vector>
+#include <utility>
 
-#include "common/bytestream.h"
-#include "common/metrics.h"
 #include "common/sync.h"
-#include "objectstore/http.h"
 
 namespace scoop {
 
 class Singleflight {
  public:
-  class Flight;
+  // A waiter gives up on a wedged leader after this long and runs the
+  // request itself. It covers the leader's whole drain, not just its
+  // first byte: the key is released only once the leader's body is read.
+  static constexpr std::chrono::milliseconds kMaxWait{30'000};
 
-  // How Join() resolved this caller.
-  enum class Role {
-    kLeader,    // execute the request; tee the response through `flight`
-    kFollower,  // response head + fan-out stream are in the ticket
-    kBypass,    // coalescing unavailable; execute the request directly
+  // The leader's hold on one key. Destroying it releases the key and
+  // wakes every caller waiting on it. The Singleflight must outlive it.
+  class Lead {
+   public:
+    Lead(const Lead&) = delete;
+    Lead& operator=(const Lead&) = delete;
+    ~Lead();
+
+   private:
+    friend class Singleflight;
+    Lead(Singleflight* owner, std::string key)
+        : owner_(owner), key_(std::move(key)) {}
+
+    Singleflight* const owner_;
+    const std::string key_;
   };
 
-  struct Ticket {
-    Role role = Role::kBypass;
-    // kLeader: the flight to feed (PublishHead + MakeTee, or Abort).
-    std::shared_ptr<Flight> flight;
-    // kFollower: the coalesced response.
-    int status = 0;
-    Headers headers;
-    std::shared_ptr<ByteStream> stream;
-    std::shared_ptr<const Headers> trailers;
-  };
-
-  // `max_buffer_bytes` bounds each flight's fill buffer (results larger
-  // than this are fanned out but not buffered for late joiners or the
-  // cache); `queue_bytes` bounds each follower queue.
-  Singleflight(MetricRegistry* metrics, size_t max_buffer_bytes,
-               size_t queue_bytes = 4 * kDefaultStreamChunk);
+  explicit Singleflight(std::chrono::milliseconds max_wait = kMaxWait)
+      : max_wait_(max_wait) {}
 
   Singleflight(const Singleflight&) = delete;
   Singleflight& operator=(const Singleflight&) = delete;
 
-  Ticket Join(const std::string& key) EXCLUDES(mu_);
-
-  // Flights currently in the table (tests).
-  int64_t InFlight() const EXCLUDES(mu_);
-
-  // On EOF the tee calls this with the complete body and the response
-  // headers with trailers merged — exactly what the uncached path would
-  // materialize. Not called when the flight aborted; `overflowed` is true
-  // when the body outgrew the fill buffer (body is then null).
-  using CompleteFn = std::function<void(
-      bool overflowed, std::shared_ptr<const std::string> body,
-      Headers headers)>;
-
-  class Flight : public std::enable_shared_from_this<Flight> {
-   public:
-    Flight(Singleflight* owner, std::string key, size_t max_buffer_bytes,
-           size_t queue_bytes);
-
-    // Leader: publishes the response head, waking followers. Must happen
-    // before any tee read.
-    void PublishHead(int status, const Headers& headers) EXCLUDES(mu_);
-
-    // Leader: wraps the storage response stream. `trailers` is the
-    // storage response's trailer map (may be null); `on_complete` runs at
-    // EOF, outside every flight/table lock.
-    std::shared_ptr<ByteStream> MakeTee(std::shared_ptr<ByteStream> inner,
-                                        std::shared_ptr<const Headers> trailers,
-                                        CompleteFn on_complete);
-
-    // Leader: the upstream execution failed (bad status, stream error, or
-    // the tee was dropped before EOF). Poisons follower queues and wakes
-    // head waiters into kBypass. Idempotent; no-op after completion.
-    void Abort(Status error) EXCLUDES(mu_);
-
-    const std::string& key() const { return key_; }
-
-   private:
-    friend class Singleflight;
-    class TeeStream;
-
-    struct Waiter {
-      std::unique_ptr<BoundedByteQueue> queue;
-      bool alive = true;
-    };
-
-    // Follower path of Singleflight::Join. False => kBypass.
-    bool JoinAsFollower(Ticket* out) EXCLUDES(mu_);
-
-    // Tee callbacks.
-    void Append(std::string_view chunk) EXCLUDES(mu_);
-    void CompleteOk() EXCLUDES(mu_);
-
-    Singleflight* const owner_;
-    const std::string key_;
-    const size_t max_buffer_bytes_;
-    const size_t queue_bytes_;
-
-    Mutex mu_{"cache_flight", lockrank::kCacheFlight};
-    CondVar head_cv_;
-    bool head_published_ GUARDED_BY(mu_) = false;
-    int status_ GUARDED_BY(mu_) = 0;
-    Headers head_headers_ GUARDED_BY(mu_);
-    bool completed_ GUARDED_BY(mu_) = false;
-    bool aborted_ GUARDED_BY(mu_) = false;
-    // Fill buffer; cleared (and overflow_ set) when it outgrows the cap.
-    std::string buffer_ GUARDED_BY(mu_);
-    bool overflow_ GUARDED_BY(mu_) = false;
-    std::vector<std::shared_ptr<Waiter>> waiters_ GUARDED_BY(mu_);
-    // Set on clean EOF: the full result, served to joiners that arrive in
-    // the completed-but-not-yet-removed window.
-    std::shared_ptr<const std::string> final_body_ GUARDED_BY(mu_);
-    Headers final_headers_ GUARDED_BY(mu_);
-
-    // Trailer map shared with every follower's response; filled (under
-    // the queue-close happens-before edge) at completion.
-    // UNGUARDED: the pointer itself is set once at construction; the
-    // pointee is written only pre-queue-close, read only post-EOF.
-    std::shared_ptr<Headers> fanout_trailers_ = std::make_shared<Headers>();
-    // UNGUARDED: written once by MakeTee before the tee stream exists.
-    std::shared_ptr<const Headers> leader_trailers_;  // set by MakeTee
-    // UNGUARDED: written once by MakeTee before the tee stream exists.
-    CompleteFn on_complete_;                          // set by MakeTee
-  };
+  // Leads `key` when no one does. Otherwise blocks until the current
+  // leader releases the key, or `max_wait` passes, and returns null: the
+  // caller never leads a key it found led.
+  std::unique_ptr<Lead> Join(const std::string& key) EXCLUDES(mu_);
 
  private:
-  void Remove(const std::string& key, const Flight* flight) EXCLUDES(mu_);
+  void Release(const std::string& key) EXCLUDES(mu_);
 
-  // UNGUARDED: registry pointer resolved in the constructor; Counter is
-  // internally atomic.
-  Counter* coalesced_;
-  const size_t max_buffer_bytes_;
-  const size_t queue_bytes_;
-  mutable Mutex mu_{"singleflight", lockrank::kSingleflight};
-  std::map<std::string, std::shared_ptr<Flight>> flights_ GUARDED_BY(mu_);
+  const std::chrono::milliseconds max_wait_;
+  Mutex mu_{"singleflight", lockrank::kSingleflight};
+  // One CondVar for every key: a release wakes all waiters, and each
+  // re-checks its own key. Herds are rare, so the extra wakeups are cheap.
+  CondVar released_;
+  std::set<std::string> led_ GUARDED_BY(mu_);
 };
 
 }  // namespace scoop

@@ -129,6 +129,17 @@ bool FastParseDouble(std::string_view s, double* out) {
   return true;
 }
 
+bool FastParseInt64(std::string_view s, int64_t* out) {
+  if (s.empty() || s.size() > 18) return false;
+  uint64_t v = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    v = v * 10 + static_cast<uint64_t>(c - '0');
+  }
+  *out = static_cast<int64_t>(v);
+  return true;
+}
+
 bool LikeMatch(std::string_view s, std::string_view pattern) {
   // Iterative greedy matcher with backtracking on the last '%', the classic
   // O(n*m) wildcard algorithm.

@@ -44,6 +44,13 @@ Result<double> ParseDouble(std::string_view s);
 // and filter loops use this; see csv/batch_reader.cc.
 bool FastParseDouble(std::string_view s, double* out);
 
+// Allocation-free fast path for the common CSV integer shape: 1 to 18
+// ASCII digits, no sign. Returns false (leaving *out untouched) on any
+// other shape — signs, whitespace, 19+ digits that might overflow — which
+// the caller must route to ParseInt64; when it returns true the result
+// equals ParseInt64's.
+bool FastParseInt64(std::string_view s, int64_t* out);
+
 // Matches `s` against a SQL LIKE `pattern` where '%' matches any run of
 // characters and '_' matches exactly one character. Case-sensitive, like
 // Spark SQL's default collation.

@@ -101,8 +101,7 @@ namespace lockrank {
 inline constexpr int kQosTenants = 8;          // QosController tenant buckets
 inline constexpr int kQosQueue = 9;            // weighted-fair-queue scheduler
 inline constexpr int kPipeline = 10;           // storlet pipeline run state
-inline constexpr int kSingleflight = 12;       // Singleflight flight table
-inline constexpr int kCacheFlight = 13;        // per-flight fan-out state
+inline constexpr int kSingleflight = 12;       // Singleflight led-key table
 inline constexpr int kCacheShard = 15;         // ResultCache shard LRU
 inline constexpr int kNetReactor = 16;         // reactor posted-task queue
 inline constexpr int kNetConn = 17;            // one TCP connection's outbox

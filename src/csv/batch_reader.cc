@@ -8,20 +8,6 @@ namespace scoop {
 
 namespace {
 
-// All-digit fast path (the overwhelmingly common CSV integer shape);
-// anything else — signs, whitespace, overflow risk — falls back to the
-// strict shared parser so semantics stay identical to Value::FromField.
-inline bool FastParseInt64(std::string_view s, int64_t* out) {
-  if (s.empty() || s.size() > 18) return false;
-  uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = static_cast<int64_t>(v);
-  return true;
-}
-
 // Parses one raw field into `col` with Value::FromField semantics:
 // empty -> null, strict numeric parse, unparseable numerics -> null.
 void AppendField(std::string_view field, ColumnType type, ColumnVector* col) {

@@ -351,6 +351,15 @@ void TcpServer::RunHandler(std::shared_ptr<Conn> conn, Request request,
   HttpResponse response = handler_(request);
   span.End();
 
+  // Frees the in-flight slot, once. Every exit calls it before the
+  // response's last bytes are queued: a client that has read the whole
+  // response may send its next request at once, and must find the slot
+  // free.
+  bool slot_held = true;
+  auto release_slot = [&] {
+    if (slot_held) inflight_.fetch_sub(1, std::memory_order_relaxed);
+    slot_held = false;
+  };
   if (head_request || !response.streamed()) {
     std::string body = head_request ? std::string() : response.TakeBody();
     BodyFraming framing =
@@ -360,6 +369,7 @@ void TcpServer::RunHandler(std::shared_ptr<Conn> conn, Request request,
     std::string out =
         SerializeResponseHead(response, framing, body.size(), keep_alive);
     out.append(body);
+    release_slot();
     Enqueue(conn.get(), out, /*response_done=*/true, keep_alive);
   } else {
     std::shared_ptr<ByteStream> stream = response.TakeBodyStream();
@@ -375,12 +385,14 @@ void TcpServer::RunHandler(std::shared_ptr<Conn> conn, Request request,
           // Mid-stream producer failure: tear the connection down before
           // the terminal chunk so the client's stream errors — the wire
           // image of the in-process flip-to-500 contract.
+          release_slot();
           AbortConn(conn.get());
           break;
         }
         if (*got == 0) {
           // Producer published trailers at EOF (EofCallbackByteStream
           // fires on the 0-byte read above), so read them only now.
+          release_slot();
           Enqueue(conn.get(), EncodeFinalChunk(trailers.get()),
                   /*response_done=*/true, keep_alive);
           break;
@@ -392,7 +404,8 @@ void TcpServer::RunHandler(std::shared_ptr<Conn> conn, Request request,
       }
     }
   }
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
+  // Every other exit found the connection gone: nothing is left to queue.
+  release_slot();
 }
 
 bool TcpServer::Enqueue(Conn* conn, std::string_view data, bool response_done,

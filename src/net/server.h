@@ -42,7 +42,9 @@ struct TcpServerConfig {
   // Connection: close and counts in net.limit_rejects.
   size_t max_connections = 256;
   // Handler executions at once across all connections; an overflow
-  // request gets a canned 503 without invoking the handler.
+  // request gets a canned 503 without invoking the handler. A slot covers
+  // the handler and its body stream, and is freed before the response's
+  // last bytes are queued.
   size_t max_inflight = 64;
   // Keep-alive connections idle longer than this are closed by the
   // reactor's sweep. Also bounds how long a half-sent request head may

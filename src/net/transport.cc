@@ -18,10 +18,6 @@ int64_t SteadyNowNs() {
 
 }  // namespace
 
-HttpHandler Transport::AsHandler() {
-  return [this](Request& request) { return RoundTrip(std::move(request)); };
-}
-
 TcpTransport::TcpTransport(const std::vector<Endpoint>& endpoints,
                            MetricRegistry* metrics,
                            TcpClientConfig base_config) {
@@ -66,18 +62,13 @@ HttpResponse TcpTransport::RoundTrip(Request request) {
   return response;
 }
 
-Result<ScoopUrl> ParseScoopUrl(std::string_view url) {
-  ScoopUrl parsed;
-  if (url == "simnet://" || url == "simnet") {
-    parsed.kind = ScoopUrl::Kind::kSimnet;
-    return parsed;
-  }
+Result<std::vector<TcpTransport::Endpoint>> ParseScoopUrl(
+    std::string_view url) {
   constexpr std::string_view kTcpScheme = "tcp://";
   if (!StartsWith(url, kTcpScheme)) {
-    return Status::InvalidArgument("unknown transport url: " +
-                                   std::string(url));
+    return Status::InvalidArgument("not a tcp:// url: " + std::string(url));
   }
-  parsed.kind = ScoopUrl::Kind::kTcp;
+  std::vector<TcpTransport::Endpoint> endpoints;
   std::string_view rest = url.substr(kTcpScheme.size());
   for (std::string_view part : Split(rest, ',')) {
     size_t colon = part.rfind(':');
@@ -95,12 +86,12 @@ Result<ScoopUrl> ParseScoopUrl(std::string_view url) {
     TcpTransport::Endpoint ep;
     ep.host = std::string(part.substr(0, colon));
     ep.port = static_cast<uint16_t>(port);
-    parsed.endpoints.push_back(std::move(ep));
+    endpoints.push_back(std::move(ep));
   }
-  if (parsed.endpoints.empty()) {
+  if (endpoints.empty()) {
     return Status::InvalidArgument("tcp:// url names no endpoints");
   }
-  return parsed;
+  return endpoints;
 }
 
 }  // namespace net

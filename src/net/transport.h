@@ -1,10 +1,7 @@
-// The seam that lets one cluster run either in-process ("simnet") or
-// over real sockets ("tcp"): a Transport turns a Request into an
-// HttpResponse, and everything above SwiftClient selects one by URL
-// scheme (DESIGN.md §3j).
+// The client transport over real sockets (DESIGN.md §3j): a TcpTransport
+// spreads requests across a set of proxy endpoints, given directly or as
+// a transport URL:
 //
-//   simnet://            in-process function calls (the default; all
-//                        deterministic tests run here)
 //   tcp://h:p[,h:p...]   real loopback/network sockets; multiple
 //                        endpoints round-robin like the LB tier
 #ifndef SCOOP_NET_TRANSPORT_H_
@@ -14,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/metrics.h"
@@ -24,40 +22,15 @@
 namespace scoop {
 namespace net {
 
-// Where a request goes. Implementations must be thread-safe: Spark-like
-// workers issue concurrent partition reads through one transport.
-class Transport {
- public:
-  virtual ~Transport() = default;
-  virtual HttpResponse RoundTrip(Request request) = 0;
-
-  // The std::function shape SwiftClient (objectstore layer, which cannot
-  // see this header) is constructed from.
-  HttpHandler AsHandler();
-};
-
-// simnet: wraps any in-process handler (e.g. SwiftCluster::Handle).
-class HandlerTransport : public Transport {
- public:
-  explicit HandlerTransport(std::function<HttpResponse(Request)> handler)
-      : handler_(std::move(handler)) {}
-
-  HttpResponse RoundTrip(Request request) override {
-    return handler_(std::move(request));
-  }
-
- private:
-  std::function<HttpResponse(Request)> handler_;
-};
-
-// tcp: one TcpClient per endpoint, requests round-robin across them —
+// One TcpClient per endpoint, requests round-robin across them —
 // with a backpressure-aware twist: an endpoint answering 503 +
 // Retry-After is skipped until its advertised backoff floor expires, so
 // a shedding replica stops receiving traffic it would only refuse. When
 // every endpoint is penalized the plain round-robin choice stands (the
 // request still has to go somewhere, and the 503 it gets carries the
-// freshest hint).
-class TcpTransport : public Transport {
+// freshest hint). Thread-safe: Spark-like workers issue concurrent
+// partition reads through one transport.
+class TcpTransport {
  public:
   struct Endpoint {
     std::string host;
@@ -68,7 +41,7 @@ class TcpTransport : public Transport {
                MetricRegistry* metrics = nullptr,
                TcpClientConfig base_config = {});
 
-  HttpResponse RoundTrip(Request request) override;
+  HttpResponse RoundTrip(Request request);
 
  private:
   std::vector<std::unique_ptr<TcpClient>> clients_;
@@ -78,14 +51,10 @@ class TcpTransport : public Transport {
   std::atomic<uint64_t> next_{0};
 };
 
-// Parsed form of a transport URL (see the scheme table above).
-struct ScoopUrl {
-  enum class Kind { kSimnet, kTcp };
-  Kind kind = Kind::kSimnet;
-  std::vector<TcpTransport::Endpoint> endpoints;  // kTcp only
-};
-
-Result<ScoopUrl> ParseScoopUrl(std::string_view url);
+// The endpoints of a tcp:// URL (see above); any other scheme is
+// rejected.
+Result<std::vector<TcpTransport::Endpoint>> ParseScoopUrl(
+    std::string_view url);
 
 }  // namespace net
 }  // namespace scoop

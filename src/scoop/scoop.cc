@@ -35,15 +35,13 @@ Result<std::unique_ptr<ScoopCluster>> ScoopCluster::Create(
     SCOOP_RETURN_IF_ERROR(registry->Deploy(name));
   }
 
-  // The proxy-tier pushdown result cache and its singleflight coalescer.
+  // The proxy-tier pushdown result cache and its singleflight latch.
   // One instance each, shared by every proxy — the cache amortizes
   // storage CPU across the whole fleet, and coalescing only works if all
-  // proxies join the same flight table. The singleflight's fill buffer
-  // matches the largest entry the cache would admit.
+  // proxies wait on the same key table.
   cluster->cache_ = std::make_shared<ResultCache>(
       cache_config, &cluster->swift_->metrics());
-  cluster->flights_ = std::make_shared<Singleflight>(
-      &cluster->swift_->metrics(), cluster->cache_->max_entry_bytes());
+  auto flights = std::make_shared<Singleflight>();
 
   // Multi-tenant QoS (DESIGN.md §3k): one controller per cluster. The
   // proxy middleware below runs admission; the engine's invocation gate
@@ -66,7 +64,7 @@ Result<std::unique_ptr<ScoopCluster>> ScoopCluster::Create(
   // default execution site); proxies get QoS admission first (auth ran
   // already — SwiftCluster installs it at pipeline head — so the tier
   // stamp is trustworthy and throttled requests touch nothing else),
-  // then result cache + singleflight (so hits and coalesced fans never
+  // then result cache + singleflight (so hits and coalesced waiters never
   // reach the storlet), then the proxy storlet stage (PUT-path ETL and
   // the staging override).
   for (auto& server : cluster->swift_->object_servers()) {
@@ -79,7 +77,7 @@ Result<std::unique_ptr<ScoopCluster>> ScoopCluster::Create(
           std::make_shared<qos::QosMiddleware>(cluster->qos_));
     }
     proxy->pipeline().Use(std::make_shared<ResultCacheMiddleware>(
-        cluster->cache_, cluster->flights_, &cluster->swift_->registry(),
+        cluster->cache_, flights, &cluster->swift_->registry(),
         &cluster->swift_->metrics()));
     proxy->pipeline().Use(std::make_shared<StorletMiddleware>(
         ExecutionStage::kProxy, cluster->engine_));

@@ -6,7 +6,6 @@
 
 #include "cache/cache_middleware.h"
 #include "cache/result_cache.h"
-#include "cache/singleflight.h"
 #include "common/result.h"
 #include "compute/session.h"
 #include "compute/storlet_rdd.h"
@@ -47,7 +46,6 @@ class ScoopCluster {
   PolicyStore& policies() { return engine_->policies(); }
   MetricRegistry& metrics() { return swift_->metrics(); }
   ResultCache& result_cache() { return *cache_; }
-  Singleflight& singleflight() { return *flights_; }
   // Null unless the cluster was built with qos_config.enabled.
   qos::QosController* qos() { return qos_.get(); }
 
@@ -74,7 +72,6 @@ class ScoopCluster {
   std::unique_ptr<SwiftCluster> swift_;
   std::shared_ptr<StorletEngine> engine_;
   std::shared_ptr<ResultCache> cache_;
-  std::shared_ptr<Singleflight> flights_;
   std::shared_ptr<qos::QosController> qos_;
 };
 

@@ -13,7 +13,6 @@
 // fetch a token from GET /auth/v1.0 first; the account comes back in
 // X-Storage-Account. See docs/RUNBOOK.md.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -29,18 +28,9 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-Result<std::unique_ptr<net::Transport>> MakeTransport(const std::string& url) {
-  SCOOP_ASSIGN_OR_RETURN(net::ScoopUrl parsed, net::ParseScoopUrl(url));
-  if (parsed.kind != net::ScoopUrl::Kind::kTcp) {
-    return Status::InvalidArgument("scoop_cli needs a tcp:// url");
-  }
-  return std::unique_ptr<net::Transport>(
-      new net::TcpTransport(parsed.endpoints));
-}
-
 // GET /auth/v1.0 -> (token, account).
 Result<std::pair<std::string, std::string>> Authenticate(
-    net::Transport& transport, const std::string& tenant,
+    net::TcpTransport& transport, const std::string& tenant,
     const std::string& key) {
   Request request = Request::Get("/auth/v1.0");
   request.headers.Set("X-Auth-User", tenant);
@@ -58,11 +48,11 @@ Result<std::pair<std::string, std::string>> Authenticate(
   return std::make_pair(std::string(*token), std::string(*account));
 }
 
-Result<SwiftClient> MakeClient(net::Transport& transport,
+Result<SwiftClient> MakeClient(net::TcpTransport& transport,
                                const std::string& tenant,
                                const std::string& key) {
   SCOOP_ASSIGN_OR_RETURN(auto creds, Authenticate(transport, tenant, key));
-  net::Transport* raw = &transport;
+  net::TcpTransport* raw = &transport;
   SwiftClient client(
       [raw](Request request) { return raw->RoundTrip(std::move(request)); },
       creds.second, creds.first);
@@ -83,8 +73,9 @@ int Run(int argc, char** argv) {
     return 2;
   }
   std::string command = argv[1];
-  auto transport = MakeTransport(argv[2]);
-  if (!transport.ok()) return Fail(transport.status().ToString());
+  auto endpoints = net::ParseScoopUrl(argv[2]);
+  if (!endpoints.ok()) return Fail(endpoints.status().ToString());
+  net::TcpTransport transport(*endpoints);
 
   if (command == "health" || command == "metrics" || command == "qos") {
     // `qos` dumps the proxy's per-tenant bucket/queue/shed counters
@@ -92,7 +83,7 @@ int Run(int argc, char** argv) {
     Request request = Request::Get(command == "health" ? "/__scoop/health"
                                    : command == "qos"  ? "/__scoop/qos"
                                                        : "/__scoop/metrics");
-    HttpResponse response = (*transport)->RoundTrip(std::move(request));
+    HttpResponse response = transport.RoundTrip(std::move(request));
     std::string body = response.TakeBody();
     if (!response.ok()) {
       return Fail(std::to_string(response.status) + " " + body);
@@ -103,7 +94,7 @@ int Run(int argc, char** argv) {
 
   if (command == "auth") {
     if (argc != 5) return Fail("usage: auth <url> <tenant> <key>");
-    auto creds = Authenticate(**transport, argv[3], argv[4]);
+    auto creds = Authenticate(transport, argv[3], argv[4]);
     if (!creds.ok()) return Fail(creds.status().ToString());
     std::printf("token: %s\naccount: %s\n", creds->first.c_str(),
                 creds->second.c_str());
@@ -115,7 +106,7 @@ int Run(int argc, char** argv) {
       return Fail("usage: put <url> <tenant> <key> <container> <object> "
                   "<data>");
     }
-    auto client = MakeClient(**transport, argv[3], argv[4]);
+    auto client = MakeClient(transport, argv[3], argv[4]);
     if (!client.ok()) return Fail(client.status().ToString());
     Status s = client->CreateContainer(argv[5]);
     if (!s.ok()) return Fail(s.ToString());
@@ -130,7 +121,7 @@ int Run(int argc, char** argv) {
     if (argc != 7) {
       return Fail("usage: get <url> <tenant> <key> <container> <object>");
     }
-    auto client = MakeClient(**transport, argv[3], argv[4]);
+    auto client = MakeClient(transport, argv[3], argv[4]);
     if (!client.ok()) return Fail(client.status().ToString());
     Result<std::string> body = client->GetObject(argv[5], argv[6]);
     if (!body.ok()) return Fail(body.status().ToString());
@@ -142,7 +133,7 @@ int Run(int argc, char** argv) {
     if (argc != 6 && argc != 7) {
       return Fail("usage: ls <url> <tenant> <key> <container> [prefix]");
     }
-    auto client = MakeClient(**transport, argv[3], argv[4]);
+    auto client = MakeClient(transport, argv[3], argv[4]);
     if (!client.ok()) return Fail(client.status().ToString());
     auto objects = client->ListObjects(argv[5], argc == 7 ? argv[6] : "");
     if (!objects.ok()) return Fail(objects.status().ToString());

@@ -33,8 +33,8 @@ struct PushdownExtraction {
   // All WHERE conjuncts (for the no-pushdown fallback path).
   std::vector<std::unique_ptr<Expr>> all_conjuncts;
 
-  // Estimated fraction of rows passing pushed_filter (for §VII's adaptive
-  // pushdown control).
+  // Estimated fraction of rows passing pushed_filter; read by
+  // PhysicalPlan::Explain and examples/adaptive_pushdown.
   double estimated_row_pass_rate = 1.0;
 };
 

@@ -267,6 +267,11 @@ Result<SourceFilter> SourceFilter::Parse(std::string_view text) {
 
 namespace {
 
+template <typename T>
+int Cmp3(T a, T b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
 bool CompareMatches(SourceFilter::Op op, int cmp) {
   switch (op) {
     case SourceFilter::Op::kEq:
@@ -349,6 +354,28 @@ void EvalFilterMask(const SourceFilter& filter, const std::string_view* fields,
     auto lit_num = ParseDouble(filter.literal);
     if (!lit_num.ok()) return;  // unparseable literal never matches
     double lit = *lit_num;
+    if (schema.column(col).type == ColumnType::kInt64) {
+      // Type the field the way the compute-side scan does
+      // (csv/batch_reader.cc): an integer parse, anything else is null.
+      // Compare exactly against an integral literal and as doubles
+      // against any other, like sql/batch_eval.cc: a double would round
+      // integers past 2^53.
+      Result<int64_t> lit_int = ParseInt64(filter.literal);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        std::string_view field = fields[rows[i] * num_fields + col];
+        if (field.empty()) continue;
+        int64_t field_int;
+        if (!FastParseInt64(field, &field_int)) {
+          Result<int64_t> parsed = ParseInt64(field);
+          if (!parsed.ok()) continue;
+          field_int = *parsed;
+        }
+        int cmp = lit_int.ok() ? Cmp3(field_int, *lit_int)
+                               : Cmp3(static_cast<double>(field_int), lit);
+        (*mask)[i] = CompareMatches(filter.op, cmp);
+      }
+      return;
+    }
     for (size_t i = 0; i < rows.size(); ++i) {
       std::string_view field = fields[rows[i] * num_fields + col];
       if (field.empty()) continue;
@@ -358,8 +385,7 @@ void EvalFilterMask(const SourceFilter& filter, const std::string_view* fields,
         if (!parsed.ok()) continue;
         field_num = *parsed;
       }
-      int cmp = field_num < lit ? -1 : (field_num > lit ? 1 : 0);
-      (*mask)[i] = CompareMatches(filter.op, cmp);
+      (*mask)[i] = CompareMatches(filter.op, Cmp3(field_num, lit));
     }
     return;
   }

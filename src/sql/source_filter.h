@@ -66,7 +66,9 @@ struct SourceFilter {
   // and `selection` holds candidate row indices into it; it is narrowed to
   // the rows this filter matches. Missing/empty fields are SQL nulls:
   // comparisons against them are false. Numeric comparisons parse the
-  // field; an unparseable field never matches. Per-filter work (column
+  // field as the compute-side scan types it: an int64 column takes the
+  // integer parse and compares exactly against an integral literal. An
+  // unparseable field is null and never matches. Per-filter work (column
   // lookup, literal parse) is hoisted out of the row loop.
   void MatchRows(const std::string_view* fields, size_t num_fields,
                  const Schema& schema, std::vector<uint32_t>* selection) const;
@@ -74,9 +76,9 @@ struct SourceFilter {
   // Adds every referenced column name to `out`.
   void CollectColumns(std::set<std::string>* out) const;
 
-  // Fraction-of-rows estimate used by §VII's adaptive-pushdown control;
-  // crude static heuristics (equality is rare, like-prefix is rarer than
-  // bare like, etc.).
+  // Fraction-of-rows estimate, printed by PhysicalPlan::Explain and by
+  // examples/adaptive_pushdown; crude static heuristics (equality is
+  // rare, like-prefix is rarer than bare like, etc.).
   double EstimateSelectivity() const;
 
   bool operator==(const SourceFilter& other) const;

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -204,133 +206,65 @@ TEST(FingerprintTest, ResultShapingHeadersChangeTheFingerprint) {
 // ---------------------------------------------------------------------------
 // Singleflight unit tests.
 
-// Releases its payload only once `gate` opens, so a test can pin a
-// follower's Join strictly before the leader streams a single byte.
-class GatedStream : public ByteStream {
- public:
-  GatedStream(std::string payload, std::atomic<bool>* gate)
-      : inner_(std::move(payload)), gate_(gate) {}
-
-  Result<size_t> Read(char* buf, size_t n) override {
-    while (!gate_->load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return inner_.Read(buf, n);
-  }
-
- private:
-  StringByteStream inner_;
-  std::atomic<bool>* gate_;
-};
-
-TEST(SingleflightTest, SecondJoinerBecomesFollowerAndGetsTheBytes) {
-  MetricRegistry metrics;
-  Singleflight flights(&metrics, 1 << 20);
-  Singleflight::Ticket leader = flights.Join("k");
-  ASSERT_EQ(leader.role, Singleflight::Role::kLeader);
-
-  Headers head;
-  head.Set("Content-Type", "text/csv");
-  // The head is published before the follower joins, so Join returns
-  // immediately; the gate keeps the leader from streaming (and
-  // completing) until the follower is registered.
-  leader.flight->PublishHead(200, head);
-  std::atomic<bool> gate{false};
-  std::string follower_body;
-  std::thread follower([&] {
-    Singleflight::Ticket t = flights.Join("k");
-    ASSERT_EQ(t.role, Singleflight::Role::kFollower);
-    EXPECT_EQ(t.status, 200);
-    EXPECT_EQ(t.headers.GetOr("Content-Type", ""), "text/csv");
-    gate.store(true);
-    auto all = t.stream->ReadAll();
-    ASSERT_TRUE(all.ok()) << all.status();
-    follower_body = *std::move(all);
-  });
-
-  std::string captured;
-  Headers captured_head;
-  auto inner =
-      std::make_shared<GatedStream>("hello coalesced world", &gate);
-  auto tee = leader.flight->MakeTee(
-      inner, nullptr,
-      [&](bool overflowed, std::shared_ptr<const std::string> body,
-          Headers headers) {
-        EXPECT_FALSE(overflowed);
-        captured = *body;
-        captured_head = std::move(headers);
-      });
-  auto drained = tee->ReadAll();
-  ASSERT_TRUE(drained.ok());
-  follower.join();
-  EXPECT_EQ(follower_body, "hello coalesced world");
-  EXPECT_EQ(captured, "hello coalesced world");
-  EXPECT_EQ(metrics.GetCounter("cache.coalesced")->value(), 1);
-  EXPECT_EQ(flights.InFlight(), 0);
-}
-
-TEST(SingleflightTest, AbortBeforeHeadBypassesWaiters) {
-  MetricRegistry metrics;
-  Singleflight flights(&metrics, 1 << 20);
-  Singleflight::Ticket leader = flights.Join("k");
-  ASSERT_EQ(leader.role, Singleflight::Role::kLeader);
+TEST(SingleflightTest, SecondCallerWaitsForReleaseAndGetsNoLead) {
+  Singleflight flights;
+  std::unique_ptr<Singleflight::Lead> lead = flights.Join("k");
+  ASSERT_NE(lead, nullptr);
   std::atomic<bool> joining{false};
+  std::atomic<bool> released{false};
+  std::atomic<bool> returned{false};
   std::thread waiter([&] {
     joining.store(true);
-    Singleflight::Ticket t = flights.Join("k");
-    // Blocked on the head when the abort lands => kBypass. (If the OS
-    // stalls this thread past the abort *and* removal, Join starts a
-    // fresh flight instead — never a follower of the dead one.)
-    EXPECT_NE(t.role, Singleflight::Role::kFollower);
-    if (t.role == Singleflight::Role::kLeader) {
-      t.flight->Abort(Status::Aborted("test cleanup"));
-    }
+    std::unique_ptr<Singleflight::Lead> second = flights.Join("k");
+    // Join returns only once the leader let go, and a caller that found
+    // the key led never leads it.
+    EXPECT_TRUE(released.load());
+    EXPECT_EQ(second, nullptr);
+    returned.store(true);
   });
   while (!joining.load()) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  leader.flight->Abort(Status::IOError("upstream died"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(returned.load());
+  released.store(true);
+  lead.reset();
   waiter.join();
-  EXPECT_EQ(flights.InFlight(), 0);
+  EXPECT_TRUE(returned.load());
 }
 
-TEST(SingleflightTest, OverflowedFlightStillFansOutButIsNotCacheable) {
-  MetricRegistry metrics;
-  Singleflight flights(&metrics, /*max_buffer_bytes=*/64);
-  Singleflight::Ticket leader = flights.Join("k");
-  ASSERT_EQ(leader.role, Singleflight::Role::kLeader);
-  const std::string big(4096, 'z');
-
-  leader.flight->PublishHead(200, Headers());
-  std::atomic<bool> gate{false};
-  std::string follower_body;
-  std::thread follower([&] {
-    Singleflight::Ticket t = flights.Join("k");
-    ASSERT_EQ(t.role, Singleflight::Role::kFollower);
-    gate.store(true);
-    auto all = t.stream->ReadAll();
-    ASSERT_TRUE(all.ok()) << all.status();
-    follower_body = *std::move(all);
-  });
-
-  bool saw_overflow = false;
-  auto tee = leader.flight->MakeTee(
-      std::make_shared<GatedStream>(big, &gate), nullptr,
-      [&](bool overflowed, std::shared_ptr<const std::string> body, Headers) {
-        saw_overflow = overflowed;
-        EXPECT_EQ(body, nullptr);
-      });
-  ASSERT_TRUE(tee->ReadAll().ok());
-  follower.join();
-  EXPECT_TRUE(saw_overflow);
-  EXPECT_EQ(follower_body, big);
+TEST(SingleflightTest, ReleasedKeyCanBeLedAgain) {
+  Singleflight flights;
+  std::unique_ptr<Singleflight::Lead> first = flights.Join("k");
+  ASSERT_NE(first, nullptr);
+  // Keys are independent: another key leads while "k" is held.
+  EXPECT_NE(flights.Join("other"), nullptr);
+  first.reset();
+  EXPECT_NE(flights.Join("k"), nullptr);
 }
 
-// The TSan target: many threads race Join/stream/complete on a handful of
-// keys while the leader streams multi-chunk bodies. Run under the chaos
-// label so CI repeats it with -fsanitize=thread.
-TEST(SingleflightTest, ConcurrentJoinStressIsRaceFree) {
+TEST(SingleflightTest, WaitCapReturnsNoLead) {
+  constexpr auto kCap = std::chrono::milliseconds(20);
+  Singleflight flights(kCap);
+  std::unique_ptr<Singleflight::Lead> wedged = flights.Join("k");
+  ASSERT_NE(wedged, nullptr);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(flights.Join("k"), nullptr);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, kCap);
+  // Giving up did not take the key from the wedged leader.
+  EXPECT_EQ(flights.Join("k"), nullptr);
+  wedged.reset();
+  EXPECT_NE(flights.Join("k"), nullptr);
+}
+
+// The TSan target: many threads race Join / fill / release on a handful
+// of keys. A leader invalidates its object first and then fills or (every
+// fourth round) fills nothing; a waiter is served from the fill or runs
+// the request itself. Every request is counted exactly once: executed, or
+// served as coalesced. Runs under the chaos label, so CI repeats it with
+// -fsanitize=thread.
+TEST(SingleflightTest, ConcurrentJoinStressCountsEveryRequestOnce) {
   MetricRegistry metrics;
-  Singleflight flights(&metrics, 1 << 20, /*queue_bytes=*/1024);
+  ResultCache cache(SmallConfig(1 << 20), &metrics);
+  Singleflight flights;
   constexpr int kThreads = 16;
   constexpr int kRounds = 25;
   const std::string payload(8192, 'p');
@@ -338,22 +272,22 @@ TEST(SingleflightTest, ConcurrentJoinStressIsRaceFree) {
 
   auto worker = [&](int tid) {
     for (int round = 0; round < kRounds; ++round) {
-      std::string key = "key" + std::to_string((tid + round) % 3);
-      Singleflight::Ticket t = flights.Join(key);
-      if (t.role == Singleflight::Role::kLeader) {
-        executions.fetch_add(1);
-        t.flight->PublishHead(200, Headers());
-        auto tee = t.flight->MakeTee(
-            std::make_shared<StringByteStream>(payload), nullptr,
-            [](bool, std::shared_ptr<const std::string>, Headers) {});
-        ASSERT_TRUE(tee->ReadAll().ok());
-      } else if (t.role == Singleflight::Role::kFollower) {
-        auto all = t.stream->ReadAll();
-        ASSERT_TRUE(all.ok()) << all.status();
-        ASSERT_EQ(all->size(), payload.size());
-        ASSERT_EQ(*all, payload);
-      } else {
-        executions.fetch_add(1);  // bypass: caller executes itself
+      const std::string object = "/a/c/o" + std::to_string((tid + round) % 3);
+      const std::string key = ResultCache::MakeKey(object, "etag", "fp");
+      std::unique_ptr<Singleflight::Lead> lead = flights.Join(key);
+      if (lead == nullptr) {
+        std::optional<CachedResult> filled = cache.LookupCoalesced(key);
+        if (filled) {
+          ASSERT_EQ(*filled->body, payload);
+          continue;
+        }
+      }
+      executions.fetch_add(1);
+      if (lead == nullptr) continue;  // ran the request itself, uncached
+      cache.InvalidateObject(object);
+      std::this_thread::yield();  // let waiters pile up on the key
+      if (round % 4 != 0) {
+        ASSERT_TRUE(cache.Insert(key, object, MakeResult(payload)));
       }
     }
   };
@@ -361,10 +295,10 @@ TEST(SingleflightTest, ConcurrentJoinStressIsRaceFree) {
   threads.reserve(kThreads);
   for (int tid = 0; tid < kThreads; ++tid) threads.emplace_back(worker, tid);
   for (auto& t : threads) t.join();
-  EXPECT_EQ(flights.InFlight(), 0);
-  // Every coalesced request is a saved execution.
   EXPECT_EQ(executions.load() + metrics.GetCounter("cache.coalesced")->value(),
             kThreads * kRounds);
+  // A waiter's read is a coalesced read, never also a hit.
+  EXPECT_EQ(metrics.GetCounter("cache.hits")->value(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -618,6 +552,57 @@ TEST_F(CacheEndToEndTest, ConcurrentIdenticalQueriesCostOneInvocation) {
   }
   // Everyone who didn't lead either coalesced or hit the cache.
   EXPECT_EQ(Metric("cache.coalesced") + Metric("cache.hits"), kClients);
+}
+
+TEST_F(CacheEndToEndTest, LeaderFailingMidStreamSendsWaitersToRunTheRequest) {
+  // Small storlet chunks, so the leader's body is many writes long.
+  cluster_->engine().set_chunk_size(1024);
+  cluster_->result_cache().set_enabled(false);
+  HttpResponse baseline = PushdownGet();
+  ASSERT_TRUE(baseline.ok());
+  cluster_->result_cache().set_enabled(true);
+  const int64_t invocations_before = Metric("storlet.invocations");
+
+  // The leader's storlet dies after two written chunks: its 200 head is
+  // out, and its body fails mid-stream. Until that body is read, the key
+  // stays led.
+  FailpointSpec spec;
+  spec.skip = 2;
+  spec.max_fires = 1;
+  ASSERT_TRUE(Failpoints::Global().Arm("engine.stage_crash", spec).ok());
+  HttpResponse leader = session_->client().Send(PushdownRequest());
+  ASSERT_EQ(leader.status, 200);
+  ASSERT_TRUE(leader.streamed());
+
+  constexpr int kFollowers = 4;
+  std::vector<HttpResponse> followers(kFollowers);
+  std::vector<std::thread> threads;
+  threads.reserve(kFollowers);
+  for (int i = 0; i < kFollowers; ++i) {
+    threads.emplace_back(
+        [this, i, &followers] { followers[i] = PushdownGet(); });
+  }
+  // Each follower counts its miss, then waits on the led key.
+  while (Metric("cache.misses") < 1 + kFollowers) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  leader.Materialize();
+  for (auto& t : threads) t.join();
+  Failpoints::Global().DisarmAll();
+
+  EXPECT_EQ(leader.status, 500) << "a failed body must not read as a 200";
+  for (int i = 0; i < kFollowers; ++i) {
+    SCOPED_TRACE("follower " + std::to_string(i));
+    EXPECT_EQ(followers[i].status, 200);
+    EXPECT_FALSE(followers[i].headers.Has(kCacheStatusHeader));
+    EXPECT_EQ(followers[i].body(), baseline.body());
+  }
+  // Nothing was filled: every follower ran its own storlet.
+  EXPECT_EQ(Metric("cache.fills"), 0);
+  EXPECT_EQ(Metric("cache.coalesced"), 0);
+  EXPECT_EQ(Metric("storlet.invocations") - invocations_before,
+            1 + kFollowers);
 }
 
 TEST_F(CacheEndToEndTest, FaultMatrixKeepsEveryPathByteIdentical) {

@@ -429,19 +429,16 @@ TEST_F(TcpLoopbackTest, TransportErrorWhenNoServer) {
 // --- Transport URLs ---------------------------------------------------------
 
 TEST(ScoopUrlTest, ParsesSchemes) {
-  auto simnet = ParseScoopUrl("simnet://");
-  ASSERT_TRUE(simnet.ok());
-  EXPECT_EQ(simnet->kind, ScoopUrl::Kind::kSimnet);
-
   auto tcp = ParseScoopUrl("tcp://127.0.0.1:9000,10.0.0.2:9001");
   ASSERT_TRUE(tcp.ok());
-  EXPECT_EQ(tcp->kind, ScoopUrl::Kind::kTcp);
-  ASSERT_EQ(tcp->endpoints.size(), 2u);
-  EXPECT_EQ(tcp->endpoints[0].host, "127.0.0.1");
-  EXPECT_EQ(tcp->endpoints[0].port, 9000);
-  EXPECT_EQ(tcp->endpoints[1].host, "10.0.0.2");
-  EXPECT_EQ(tcp->endpoints[1].port, 9001);
+  ASSERT_EQ(tcp->size(), 2u);
+  EXPECT_EQ((*tcp)[0].host, "127.0.0.1");
+  EXPECT_EQ((*tcp)[0].port, 9000);
+  EXPECT_EQ((*tcp)[1].host, "10.0.0.2");
+  EXPECT_EQ((*tcp)[1].port, 9001);
 
+  // Only sockets: the in-process cluster has no URL.
+  EXPECT_FALSE(ParseScoopUrl("simnet://").ok());
   EXPECT_FALSE(ParseScoopUrl("http://x").ok());
   EXPECT_FALSE(ParseScoopUrl("tcp://").ok());
   EXPECT_FALSE(ParseScoopUrl("tcp://host").ok());

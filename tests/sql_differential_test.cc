@@ -422,5 +422,56 @@ TEST_F(SqlDifferentialTest, CornerSchedule) {
   }
 }
 
+// A pushed filter types an int64 column the way the compute-side scan
+// does: "1.5" there is null, and integers past 2^53 compare exactly, not
+// as rounded doubles. Each query must keep the same rows, pushdown on or
+// off.
+TEST(PushdownTypingTest, Int64ColumnFilterMatchesThePlainScan) {
+  SwiftConfig config;
+  config.num_proxies = 1;
+  config.num_storage_nodes = 2;
+  config.disks_per_node = 2;
+  config.part_power = 4;
+  auto cluster = ScoopCluster::Create(config);
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  auto client = (*cluster)->Connect("typing", "secret", "ty");
+  ASSERT_TRUE(client.ok());
+  ScoopSession session(cluster->get(), std::move(client).value(),
+                       /*num_workers=*/1);
+  ASSERT_TRUE(session.client().CreateContainer("ids").ok());
+  const std::string csv = "1,a\n1.5,b\n2,c\n9007199254740993,d\n";
+  ASSERT_TRUE(session.client().PutObject("ids", "i-0", csv, {}).ok());
+  auto schema = Schema::FromSpec("vid:int64,name:string");
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  session.RegisterCsvTable("idsPush", "ids", "i", *schema, /*pushdown=*/true);
+  session.RegisterCsvTable("idsPlain", "ids", "i", *schema,
+                           /*pushdown=*/false);
+
+  struct Case {
+    const char* where;
+    const char* names;  // the rows kept, by name
+  };
+  const Case cases[] = {
+      {"vid > 1", "c,d"},
+      {"NOT (vid > 1)", "a,b"},
+      {"vid > 9007199254740992", "d"},
+  };
+  for (const Case& c : cases) {
+    for (const char* table : {"idsPush", "idsPlain"}) {
+      SCOPED_TRACE(std::string(table) + " WHERE " + c.where);
+      auto outcome = session.Sql(StrFormat(
+          "SELECT name FROM %s WHERE %s ORDER BY name", table, c.where));
+      ASSERT_TRUE(outcome.ok()) << outcome.status();
+      std::vector<std::string> names;
+      for (const Row& row : outcome->table.rows) {
+        names.push_back(row[0].ToString());
+      }
+      EXPECT_EQ(Join(names, ","), c.names);
+      EXPECT_EQ(outcome->stats.partitions_pushdown > 0,
+                std::string(table) == "idsPush");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace scoop
