@@ -2,8 +2,9 @@
 // figure-scale results: LIKE matching, CSV parsing, the CSVStorlet in its
 // row-discard / column-projection / mixed modes (the mechanism behind the
 // Fig. 5 row-vs-column gap), ring lookups, the LZ codec, the parquet-like
-// codec, SQL parsing/planning, and a chunk-size ablation of the real
-// end-to-end query path (§VII's partitioning discussion).
+// codec, the object server's chunk hashing, SQL parsing/planning, and a
+// chunk-size ablation of the real end-to-end query path (§VII's
+// partitioning discussion).
 #include <benchmark/benchmark.h>
 
 #include "common/bytestream.h"
@@ -13,6 +14,7 @@
 #include "csv/record_reader.h"
 #include "common/lz.h"
 #include "datasource/parquet_format.h"
+#include "objectstore/device.h"
 #include "objectstore/ring.h"
 #include "bench/bench_util.h"
 #include "sql/executor.h"
@@ -146,6 +148,21 @@ void BM_RingLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RingLookup);
+
+// The object server's per-PUT integrity pass (one Xxh64 per 64 KiB chunk);
+// a GET verifies the same chunks at the same rate.
+void BM_ChunkHashes(benchmark::State& state) {
+  std::string csv = SampleCsv(20000);
+  std::string payload;
+  while (payload.size() < (8u << 20)) payload += csv;
+  payload.resize(8u << 20);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeChunkHashes(payload));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(payload.size()));
+}
+BENCHMARK(BM_ChunkHashes);
 
 void BM_LzCompress(benchmark::State& state) {
   std::string csv = SampleCsv(20000);

@@ -6,9 +6,18 @@
 
 namespace scoop {
 
-// 64-bit FNV-1a over an arbitrary byte string. Used for ring placement and
-// container hashing; stable across platforms and runs.
+// 64-bit FNV-1a over an arbitrary byte string. A byte-serial multiply chain:
+// fine for short keys, slow for payloads. Used for ring placement, cache
+// shards, proxy retry jitter, auth tokens and Value::Hash; stable across
+// platforms and runs, so changing it would move placements and seeded
+// schedules.
 uint64_t Fnv1a64(std::string_view data);
+
+// XXH64 (seed 0) over an arbitrary byte string: four independent 64-bit
+// lanes, so it runs near memory speed on payloads. Used for the per-chunk
+// integrity hashes of stored objects and for their ETags. Input is read as
+// little-endian words on every platform, so values are portable.
+uint64_t Xxh64(std::string_view data);
 
 // Strong 64-bit finalizer (MurmurHash3 fmix64). Good avalanche; used to
 // decorrelate sequential ids before ring placement.

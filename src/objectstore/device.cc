@@ -10,7 +10,7 @@ std::vector<uint64_t> ComputeChunkHashes(std::string_view data) {
   hashes.reserve((data.size() + kIntegrityChunkSize - 1) /
                  kIntegrityChunkSize);
   for (size_t off = 0; off < data.size(); off += kIntegrityChunkSize) {
-    hashes.push_back(Fnv1a64(
+    hashes.push_back(Xxh64(
         data.substr(off, std::min(kIntegrityChunkSize, data.size() - off))));
   }
   return hashes;
@@ -27,12 +27,6 @@ Status Device::Put(const std::string& path, StoredObject object) {
   }
   objects_[path] = std::make_shared<const StoredObject>(std::move(object));
   return Status::OK();
-}
-
-Result<StoredObject> Device::Get(const std::string& path) const {
-  SCOOP_ASSIGN_OR_RETURN(std::shared_ptr<const StoredObject> shared,
-                         GetShared(path));
-  return *shared;
 }
 
 Result<std::shared_ptr<const StoredObject>> Device::GetShared(

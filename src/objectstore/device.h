@@ -20,22 +20,24 @@
 
 namespace scoop {
 
-// Granularity of the at-rest integrity hashes: one Fnv1a64 per aligned
+// Granularity of the at-rest integrity hashes: one Xxh64 per aligned
 // 64 KiB slice of the payload. Matches kDefaultStreamChunk so a streaming
 // GET can verify each chunk as it leaves the device — a corrupt chunk is
 // detected *before* delivery, early enough for the proxy to fail over to
 // another replica instead of handing the client bad bytes.
 inline constexpr size_t kIntegrityChunkSize = 64 * 1024;
 
-// Per-chunk Fnv1a64 hashes of `data` at kIntegrityChunkSize granularity
-// (empty payload -> no hashes).
+// Per-chunk Xxh64 hashes of `data` at kIntegrityChunkSize granularity
+// (empty payload -> no hashes). The object server computes them once per
+// PUT and derives the ETag from them (ObjectServer::ComputeEtag), so a PUT
+// hashes its payload in one pass.
 std::vector<uint64_t> ComputeChunkHashes(std::string_view data);
 
 // An object replica at rest on a device: payload plus user/system metadata.
 struct StoredObject {
   std::string data;
   Headers metadata;   // user metadata (X-Object-Meta-*) and content type
-  std::string etag;   // content hash, Swift's ETag
+  std::string etag;   // content hash, Swift's ETag (ObjectServer::ComputeEtag)
   uint64_t timestamp = 0;  // last-write-wins ordering
   // Integrity hashes (see ComputeChunkHashes); empty means "not computed"
   // and disables per-chunk verification for this copy.
@@ -61,7 +63,6 @@ class Device {
   const std::string& failpoint_key() const { return key_; }
 
   Status Put(const std::string& path, StoredObject object);
-  Result<StoredObject> Get(const std::string& path) const;
   // Zero-copy read: shares the immutable at-rest object so a GET can be
   // served as a chunk stream without duplicating the payload. The object
   // stays valid even if overwritten or deleted while a reader holds it

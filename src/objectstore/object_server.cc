@@ -31,12 +31,12 @@ class ObjectChunkStream : public ByteStream {
         device_key_(std::move(device_key)) {}
 
   Result<size_t> Read(char* buf, size_t n) override {
-    while (buf_pos_ >= buf_.size()) {
+    while (buf_pos_ >= buf_end_) {
       if (!sticky_error_.ok()) return sticky_error_;
       if (pos_ >= win_len_) return static_cast<size_t>(0);
       SCOOP_RETURN_IF_ERROR(Refill());
     }
-    size_t count = std::min({n, chunk_size_, buf_.size() - buf_pos_});
+    size_t count = std::min({n, chunk_size_, buf_end_ - buf_pos_});
     std::memcpy(buf, buf_.data() + buf_pos_, count);
     buf_pos_ += count;
     pos_ += count;
@@ -79,24 +79,17 @@ class ObjectChunkStream : public ByteStream {
       }
     }
     if (!dropped && chunk_idx < object_->chunk_hashes.size() &&
-        Fnv1a64(buf_) != object_->chunk_hashes[chunk_idx]) {
+        Xxh64(buf_) != object_->chunk_hashes[chunk_idx]) {
       sticky_error_ = Status::IOError(
           "chunk integrity check failed at offset " +
           std::to_string(chunk_begin));
       return sticky_error_;
     }
-    // Clip the aligned chunk to the portion of the request window it
-    // serves (range GETs start mid-chunk).
-    size_t begin_in_chunk = abs - chunk_begin;
-    if (begin_in_chunk >= buf_.size()) {
-      buf_.clear();
-    } else {
-      buf_ = buf_.substr(
-          begin_in_chunk,
-          std::min(buf_.size() - begin_in_chunk, win_len_ - pos_));
-    }
-    buf_pos_ = 0;
-    if (buf_.empty() && !sticky_error_.ok()) return sticky_error_;
+    // Serve only the portion of the aligned chunk inside the request
+    // window (range GETs start mid-chunk): [buf_pos_, buf_end_).
+    buf_pos_ = std::min(abs - chunk_begin, buf_.size());
+    buf_end_ = buf_pos_ + std::min(buf_.size() - buf_pos_, win_len_ - pos_);
+    if (buf_pos_ == buf_end_ && !sticky_error_.ok()) return sticky_error_;
     return Status::OK();
   }
 
@@ -105,8 +98,9 @@ class ObjectChunkStream : public ByteStream {
   const size_t win_len_;
   const size_t chunk_size_;
   const std::string device_key_;
-  std::string buf_;
+  std::string buf_;  // the verified aligned chunk
   size_t buf_pos_ = 0;
+  size_t buf_end_ = 0;
   size_t pos_ = 0;  // delivered bytes within the window
   Status sticky_error_ = Status::OK();
 };
@@ -157,9 +151,16 @@ Device* ObjectServer::GetDevice(int device_id) {
   return it == devices_by_id_.end() ? nullptr : it->second;
 }
 
-std::string ObjectServer::ComputeEtag(const std::string& data) {
-  return StrFormat("%016llx",
-                   static_cast<unsigned long long>(Fnv1a64(data)));
+std::string ObjectServer::ComputeEtag(
+    const std::vector<uint64_t>& chunk_hashes) {
+  std::string words;
+  words.reserve(chunk_hashes.size() * 8);
+  for (uint64_t h : chunk_hashes) {
+    for (int byte = 0; byte < 8; ++byte) {
+      words.push_back(static_cast<char>(h >> (8 * byte)));
+    }
+  }
+  return StrFormat("%016llx", static_cast<unsigned long long>(Xxh64(words)));
 }
 
 HttpResponse ObjectServer::App(Request& request) {
@@ -244,9 +245,9 @@ HttpResponse ObjectServer::DoGet(Request& request, Device& device,
 HttpResponse ObjectServer::DoPut(Request& request, Device& device,
                                  const ObjectPath& path) {
   StoredObject object;
-  object.data = request.body;
-  object.etag = ComputeEtag(object.data);
+  object.data = std::move(request.body);
   object.chunk_hashes = ComputeChunkHashes(object.data);
+  object.etag = ComputeEtag(object.chunk_hashes);
   auto ts = request.headers.Get(kTimestampHeader);
   if (ts) {
     auto parsed = ParseInt64(*ts);

@@ -51,8 +51,11 @@ class ObjectServer {
     return devices_;
   }
 
-  // Computes the ETag Swift would store for `data`.
-  static std::string ComputeEtag(const std::string& data);
+  // The ETag of an object whose chunk hashes (ComputeChunkHashes) are
+  // `chunk_hashes`: 16 lowercase hex digits of Xxh64 over the hashes as
+  // consecutive 8-byte little-endian words, as S3 derives a multipart ETag
+  // from its part hashes. Equal content gives equal ETags on every replica.
+  static std::string ComputeEtag(const std::vector<uint64_t>& chunk_hashes);
 
   // Chunk granularity GET bodies are produced at (test hook; consumers
   // pulling with larger buffers still receive at most this much per read).

@@ -67,31 +67,28 @@ void Replicator::RepairOne(const std::string& path, bool remove_handoffs,
   }
   ++report->objects_scanned;
   const std::vector<int>& replicas = ring_->GetNodes(path);
-  // Find the newest available copy.
-  StoredObject newest;
-  bool found = false;
+  // Find the newest available copy. Copies are shared, not duplicated:
+  // only a pushed replica is copied, by Device::Put.
+  std::shared_ptr<const StoredObject> newest;
+  auto consider = [&](Device* device) {
+    auto copy = device->GetShared(path);
+    if (copy.ok() && (newest == nullptr ||
+                      (*copy)->timestamp > newest->timestamp)) {
+      newest = std::move(copy).value();
+    }
+  };
   for (int device_id : replicas) {
     Device* device = devices_[device_id];
-    if (device == nullptr) continue;
-    auto copy = device->Get(path);
-    if (copy.ok() && (!found || copy->timestamp > newest.timestamp)) {
-      newest = std::move(copy).value();
-      found = true;
-    }
+    if (device != nullptr) consider(device);
   }
-  if (!found) {
+  if (newest == nullptr) {
     // An object may exist only on devices outside its replica set after a
     // ring change; look everywhere as handoff recovery.
     for (Device* device : devices_) {
-      if (device == nullptr || device->failed()) continue;
-      auto copy = device->Get(path);
-      if (copy.ok() && (!found || copy->timestamp > newest.timestamp)) {
-        newest = std::move(copy).value();
-        found = true;
-      }
+      if (device != nullptr && !device->failed()) consider(device);
     }
   }
-  if (!found) {
+  if (newest == nullptr) {
     report->replicas_unreachable += static_cast<int>(replicas.size());
     if (span.active()) span.SetTag("outcome", "unreachable");
     return;
@@ -104,13 +101,13 @@ void Replicator::RepairOne(const std::string& path, bool remove_handoffs,
       ++report->replicas_unreachable;
       continue;
     }
-    auto existing = device->Get(path);
-    if (existing.ok() && existing->timestamp >= newest.timestamp) {
+    auto existing = device->GetShared(path);
+    if (existing.ok() && (*existing)->timestamp >= newest->timestamp) {
       ++replicas_in_place;
       continue;
     }
     Status push = FailpointCheck("replicator.push", device->failpoint_key());
-    if (push.ok()) push = device->Put(path, newest);
+    if (push.ok()) push = device->Put(path, *newest);
     if (push.ok()) {
       ++report->replicas_repaired;
       ++repaired;

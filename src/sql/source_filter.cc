@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 
 #include "common/strings.h"
 
@@ -180,7 +181,16 @@ SourceFilter SourceFilter::Compare(Op op, std::string column,
   SourceFilter f;
   f.op = op;
   f.column = std::move(column);
-  f.literal = literal.ToString();
+  if (literal.type() == ValueType::kDouble) {
+    // Shortest round-trip text, not Value::ToString's display rounding:
+    // %.6g would push 1234567.5 as 1.23457e+06.
+    char buf[32];  // the longest shortest-form double is 24 characters
+    char* end =
+        std::to_chars(buf, buf + sizeof(buf), literal.AsDoubleExact()).ptr;
+    f.literal.assign(buf, end);
+  } else {
+    f.literal = literal.ToString();
+  }
   f.literal_is_number = literal.type() == ValueType::kInt64 ||
                         literal.type() == ValueType::kDouble;
   return f;

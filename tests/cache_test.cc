@@ -655,6 +655,9 @@ TEST_F(CacheEndToEndTest, PoisonedFillIsDroppedNeverServed) {
 }
 
 TEST_F(CacheEndToEndTest, LookupAndFillSpansSitUnderProxyRequest) {
+  // The collector is process-global: drop spans an earlier test or
+  // --gtest_repeat iteration left behind.
+  cluster_->traces().Clear();
   cluster_->traces().Enable();
   HttpResponse cold = PushdownGet();   // miss -> lookup + fill spans
   ASSERT_TRUE(cold.ok());

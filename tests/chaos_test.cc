@@ -180,6 +180,24 @@ TEST_F(ChaosTest, CorruptChunkDetectedAndResumed) {
   EXPECT_GT(Failpoints::Global().fires("object.read.chunk"), 0);
 }
 
+TEST_F(ChaosTest, CorruptFinalPartialChunkDetectedAndResumed) {
+  // The object ends in a 1,234-byte chunk, shorter than the integrity
+  // granularity: its hash covers only those bytes, and a flip there must
+  // be caught like one in a full chunk.
+  FailpointSpec spec;
+  spec.action = FailpointSpec::Action::kCorrupt;
+  spec.key = DeviceKey(replicas_[0]);
+  spec.skip = static_cast<int>(kObjectSize / kIntegrityChunkSize);
+  ASSERT_TRUE(Failpoints::Global().Arm("object.read.chunk", spec).ok());
+  int64_t failovers_before = Metric("proxy.failovers");
+
+  auto got = client_->GetObject("data", "obj");
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, payload_);
+  EXPECT_EQ(Failpoints::Global().fires("object.read.chunk"), 1);
+  EXPECT_GT(Metric("proxy.failovers"), failovers_before);
+}
+
 TEST_F(ChaosTest, RangedReadSurvivesMidStreamFault) {
   // Resume math must hold for 206 responses too: the resumed Range is
   // relative to the object, not the window.
@@ -259,9 +277,9 @@ TEST_F(ChaosTest, FailoverTriggersReadRepair) {
   Replicator::Report report = cluster_->swift().RunReadRepair();
   EXPECT_EQ(report.replicas_repaired, 1);
   EXPECT_TRUE(primary->Exists(kPath));
-  auto restored = primary->Get(kPath);
+  auto restored = primary->GetShared(kPath);
   ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->data, payload_);
+  EXPECT_EQ((*restored)->data, payload_);
   // The queue drained; a second pass finds nothing to do.
   EXPECT_EQ(cluster_->swift().read_repair_queue().size(), 0u);
   EXPECT_EQ(cluster_->swift().RunReadRepair().replicas_repaired, 0);

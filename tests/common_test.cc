@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "common/hash.h"
 #include "common/metrics.h"
@@ -167,6 +169,53 @@ TEST(HashTest, Deterministic) {
   EXPECT_EQ(Fnv1a64("hello"), Fnv1a64("hello"));
   EXPECT_NE(Fnv1a64("hello"), Fnv1a64("hellp"));
   EXPECT_NE(Mix64(1), Mix64(2));
+}
+
+TEST(HashTest, Xxh64KnownAnswers) {
+  EXPECT_EQ(Xxh64(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(Xxh64(std::string_view()), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(Xxh64("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(Xxh64("abc"), 0x44bc2cf5ad770999ULL);
+  // 39 bytes: one 32-byte stripe, then the 4- and 1-byte tails.
+  EXPECT_EQ(Xxh64("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ULL);
+}
+
+TEST(HashTest, Xxh64EveryLengthThroughTheTailsHashesDifferently) {
+  // Lengths 0..80 cross the 32-byte stripe loop and the 8-, 4- and 1-byte
+  // tails; every prefix must hash differently.
+  std::string bytes;
+  for (int i = 0; i <= 80; ++i) bytes.push_back(static_cast<char>(i * 37));
+  std::set<uint64_t> seen;
+  for (size_t len = 0; len <= 80; ++len) {
+    EXPECT_TRUE(seen.insert(Xxh64(std::string_view(bytes).substr(0, len)))
+                    .second)
+        << "length " << len;
+  }
+}
+
+TEST(HashTest, Xxh64SeesEveryByteOfAChunk) {
+  std::string chunk(64 * 1024, '\0');
+  uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (char& c : chunk) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    c = static_cast<char>(x >> 56);
+  }
+  const uint64_t clean = Xxh64(chunk);
+  auto flipped_differs = [&](size_t pos) {
+    chunk[pos] ^= 0x01;
+    bool differs = Xxh64(chunk) != clean;
+    chunk[pos] ^= 0x01;
+    return differs;
+  };
+  for (size_t pos = 0; pos < 64; ++pos) {
+    EXPECT_TRUE(flipped_differs(pos)) << "byte " << pos;
+    EXPECT_TRUE(flipped_differs(chunk.size() - 1 - pos))
+        << "byte " << chunk.size() - 1 - pos;
+  }
+  for (size_t pos = 64; pos < chunk.size() - 64; pos += 97) {
+    EXPECT_TRUE(flipped_differs(pos)) << "byte " << pos;
+  }
 }
 
 TEST(RandomTest, DeterministicForSeed) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
 
 #include "objectstore/cluster.h"
 #include "objectstore/http.h"
+#include "objectstore/object_server.h"
 #include "objectstore/ring.h"
 
 namespace scoop {
@@ -294,6 +297,43 @@ TEST_F(SwiftClusterTest, ObjectsReplicatedToRingDevices) {
     if (devices[id]->Exists(path)) ++copies;
   }
   EXPECT_EQ(copies, 3);
+}
+
+TEST_F(SwiftClusterTest, EtagFollowsContentOnEveryReplica) {
+  ASSERT_TRUE(client_->CreateContainer("data").ok());
+  // Two full integrity chunks and a partial one.
+  std::string content(2 * kIntegrityChunkSize + 100, '\0');
+  for (size_t i = 0; i < content.size(); ++i) {
+    content[i] = static_cast<char>('a' + (i * 7919) % 26);
+  }
+  std::string changed = content;
+  changed[kIntegrityChunkSize + 7] ^= 0x01;
+  ASSERT_TRUE(client_->PutObject("data", "a", content).ok());
+  ASSERT_TRUE(client_->PutObject("data", "b", content).ok());
+  ASSERT_TRUE(client_->PutObject("data", "c", changed).ok());
+  ASSERT_TRUE(client_->PutObject("data", "empty", "").ok());
+  auto devices = cluster_->DevicesById();
+  auto replica_etags = [&](const std::string& object) {
+    const std::string path = "/acct/data/" + object;
+    std::set<std::string> etags;
+    for (int id : cluster_->ring().GetNodes(path)) {
+      auto stored = devices[id]->GetShared(path);
+      EXPECT_TRUE(stored.ok()) << path << " on device " << id;
+      if (stored.ok()) etags.insert((*stored)->etag);
+    }
+    return etags;
+  };
+  const std::set<std::string> a = replica_etags("a");
+  ASSERT_EQ(a.size(), 1u) << "replicas disagree on the ETag";
+  EXPECT_EQ(*a.begin(),
+            ObjectServer::ComputeEtag(ComputeChunkHashes(content)));
+  EXPECT_EQ(a.begin()->size(), 16u);
+  EXPECT_EQ(replica_etags("b"), a);
+  const std::set<std::string> c = replica_etags("c");
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_NE(*c.begin(), *a.begin());
+  // No chunks: the ETag is Xxh64 of the empty string.
+  EXPECT_EQ(replica_etags("empty"), std::set<std::string>{"ef46db3751d8e999"});
 }
 
 TEST_F(SwiftClusterTest, ReadsSurviveSingleDeviceFailure) {

@@ -608,8 +608,8 @@ TEST(ChaosSoakTest, SeededFaultMixConvergesAfterRepair) {
       // copy onto every assigned device.
       std::vector<std::string> copies;
       for (int device : replicas) {
-        auto stored = devices[static_cast<size_t>(device)]->Get(path);
-        if (stored.ok()) copies.push_back(stored->data);
+        auto stored = devices[static_cast<size_t>(device)]->GetShared(path);
+        if (stored.ok()) copies.push_back((*stored)->data);
       }
       ASSERT_FALSE(copies.empty());
       EXPECT_EQ(copies.size(), replicas.size())

@@ -424,9 +424,10 @@ TEST_F(SqlDifferentialTest, CornerSchedule) {
 
 // A pushed filter types an int64 column the way the compute-side scan
 // does: "1.5" there is null, and integers past 2^53 compare exactly, not
-// as rounded doubles. Each query must keep the same rows, pushdown on or
-// off.
-TEST(PushdownTypingTest, Int64ColumnFilterMatchesThePlainScan) {
+// as rounded doubles. A double literal reaches the storlet exactly, not
+// rounded to six digits. Each query must keep the same rows, pushdown on
+// or off.
+TEST(PushdownTypingTest, NumericFiltersMatchThePlainScan) {
   SwiftConfig config;
   config.num_proxies = 1;
   config.num_storage_nodes = 2;
@@ -439,9 +440,10 @@ TEST(PushdownTypingTest, Int64ColumnFilterMatchesThePlainScan) {
   ScoopSession session(cluster->get(), std::move(client).value(),
                        /*num_workers=*/1);
   ASSERT_TRUE(session.client().CreateContainer("ids").ok());
-  const std::string csv = "1,a\n1.5,b\n2,c\n9007199254740993,d\n";
+  const std::string csv =
+      "1,a,1234567\n1.5,b,1234568\n2,c,1234571\n9007199254740993,d,0\n";
   ASSERT_TRUE(session.client().PutObject("ids", "i-0", csv, {}).ok());
-  auto schema = Schema::FromSpec("vid:int64,name:string");
+  auto schema = Schema::FromSpec("vid:int64,name:string,v:double");
   ASSERT_TRUE(schema.ok()) << schema.status();
   session.RegisterCsvTable("idsPush", "ids", "i", *schema, /*pushdown=*/true);
   session.RegisterCsvTable("idsPlain", "ids", "i", *schema,
@@ -455,6 +457,7 @@ TEST(PushdownTypingTest, Int64ColumnFilterMatchesThePlainScan) {
       {"vid > 1", "c,d"},
       {"NOT (vid > 1)", "a,b"},
       {"vid > 9007199254740992", "d"},
+      {"v > 1234567.5", "b,c"},
   };
   for (const Case& c : cases) {
     for (const char* table : {"idsPush", "idsPlain"}) {

@@ -317,9 +317,9 @@ TEST_F(StorletClusterTest, PutPathTransformsBeforeStorage) {
   // All replicas hold the transformed bytes.
   auto devices = cluster_->swift().DevicesById();
   for (int id : cluster_->swift().ring().GetNodes("/acct/data/up")) {
-    auto stored = devices[id]->Get("/acct/data/up");
+    auto stored = devices[id]->GetShared("/acct/data/up");
     ASSERT_TRUE(stored.ok());
-    EXPECT_EQ(stored->data, "ABC\nDEF\n");
+    EXPECT_EQ((*stored)->data, "ABC\nDEF\n");
   }
 }
 
