@@ -2,13 +2,15 @@
 // figure-scale results: LIKE matching, CSV parsing, the CSVStorlet in its
 // row-discard / column-projection / mixed modes (the mechanism behind the
 // Fig. 5 row-vs-column gap), ring lookups, the LZ codec, the parquet-like
-// codec, the object server's chunk hashing, SQL parsing/planning, and a
+// codec, the object server's chunk hashing, SQL parsing/planning, the
+// group fold behind aggregate pushdown and driver aggregation, and a
 // chunk-size ablation of the real end-to-end query path (§VII's
 // partitioning discussion).
 #include <benchmark/benchmark.h>
 
 #include "common/bytestream.h"
 #include "common/strings.h"
+#include "csv/agg_storlet.h"
 #include "csv/batch_reader.h"
 #include "csv/csv_storlet.h"
 #include "csv/record_reader.h"
@@ -269,6 +271,71 @@ void BM_PushdownPipelineStreaming(benchmark::State& state) {
                           static_cast<int64_t>(csv.size()));
 }
 BENCHMARK(BM_PushdownPipelineStreaming);
+
+// The one group fold (sql/group_fold.h) on both of its sides, over a
+// 512 KiB slice of Table I rows and the ShowMapCons query: arg 0 is the
+// storlet's partials fold (GroupAggStorlet over CSV text, selection and
+// SAG1 encoding included), arg 1 the driver's (ProcessBatch over decoded
+// batches, WHERE included). Reported in rows/s of the slice.
+void BM_GroupFold(benchmark::State& state) {
+  const bool storlet_side = state.range(0) == 0;
+  state.SetLabel(storlet_side ? "storlet" : "driver");
+  auto csv = std::make_shared<std::string>(SampleCsv(12000));
+  csv->resize(csv->rfind('\n', 512 * 1024) + 1);
+  Schema schema = GridPocketGenerator::MeterSchema();
+  auto stmt = ParseSql(GridPocketQueries()[0].sql);
+  if (!stmt.ok()) {
+    state.SkipWithError(stmt.status().ToString().c_str());
+    return;
+  }
+  auto plan = PhysicalPlan::Create(*stmt, schema);
+  if (!plan.ok() || (*plan)->agg_pushdown() == nullptr) {
+    state.SkipWithError("ShowMapCons has no aggregate pushdown");
+    return;
+  }
+  const PhysicalPlan& p = **plan;
+  std::vector<int> indices;
+  for (const std::string& name : p.required_columns()) {
+    indices.push_back(schema.IndexOf(name));
+  }
+  std::vector<RecordBatch> batches;
+  CsvBatchReader reader(*csv, &schema);
+  RecordBatch batch;
+  int64_t rows = 0;
+  while (reader.Next(&batch)) {
+    rows += batch.num_rows();
+    batches.push_back(batch.SelectColumns(p.scan_schema(), indices));
+  }
+  StorletParams params = {{"schema", schema.ToSpec()},
+                          {"output", "partials"},
+                          {"group", p.agg_pushdown()->GroupParam()},
+                          {"aggs", p.agg_pushdown()->AggsParam()},
+                          {"selection", p.pushed_filter().Serialize()}};
+  std::string output;
+  for (auto _ : state) {
+    if (storlet_side) {
+      GroupAggStorlet storlet;
+      SharedBufferByteStream source(csv, *csv);
+      StorletInputStream in(&source);
+      output.clear();
+      StringByteSink sink(&output);
+      StorletOutputStream out(&sink);
+      StorletLogger logger;
+      Status s = storlet.Invoke(in, out, params, logger);
+      if (!s.ok()) state.SkipWithError(s.ToString().c_str());
+      out.Flush();
+      benchmark::DoNotOptimize(output.size());
+    } else {
+      PartialResult partial;
+      for (const RecordBatch& b : batches) {
+        p.ProcessBatch(b, /*filters_already_applied=*/false, &partial);
+      }
+      benchmark::DoNotOptimize(partial.groups.size());
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
+}
+BENCHMARK(BM_GroupFold)->Arg(0)->Arg(1);
 
 // Chunk-size ablation over the real end-to-end path: smaller chunks mean
 // more tasks, more GETs and more record-alignment overhead (§VII argues

@@ -1,7 +1,6 @@
 #include "csv/agg_storlet.h"
 
 #include <cstdlib>
-#include <map>
 #include <numeric>
 
 #include "common/strings.h"
@@ -9,26 +8,18 @@
 #include "csv/record_reader.h"
 #include "sql/agg_wire.h"
 #include "sql/aggregates.h"
-#include "sql/expr_eval.h"
+#include "sql/group_fold.h"
 #include "sql/source_filter.h"
 
 namespace scoop {
 
 namespace {
 
-// One resolved group-key expression of the partials mode: a bare column
-// or substr(string-column, pos, len).
-struct GroupKeySpec {
-  int column_index = -1;
-  ColumnType type = ColumnType::kString;
-  bool is_substr = false;
-  int64_t pos = 0;
-  int64_t len = 0;
-};
-
-Result<GroupKeySpec> ResolveGroupSpec(const std::string& spec,
-                                      const Schema& schema) {
-  GroupKeySpec out;
+// Resolves one grouping spec of the partials mode: a bare column or
+// substr(string-column, pos, len).
+Result<FoldKey> ResolveGroupSpec(const std::string& spec,
+                                 const Schema& schema) {
+  FoldKey out;
   std::string column = spec;
   if (spec.rfind("substr(", 0) == 0 && spec.back() == ')') {
     std::vector<std::string_view> parts =
@@ -49,17 +40,54 @@ Result<GroupKeySpec> ResolveGroupSpec(const std::string& spec,
     out.is_substr = true;
     column = std::string(parts[0]);
   }
-  out.column_index = schema.IndexOf(column);
-  if (out.column_index < 0) {
+  int index = schema.IndexOf(column);
+  if (index < 0) {
     return Status::NotFound("group column not in schema: " + column);
   }
-  out.type = schema.column(static_cast<size_t>(out.column_index)).type;
+  out.column = static_cast<size_t>(index);
+  out.type = schema.column(out.column).type;
   if (out.is_substr && out.type != ColumnType::kString) {
     return Status::InvalidArgument(
         "aggstorlet: substr group key requires a string column: " + spec);
   }
   return out;
 }
+
+// Resolves one "<fn>:<column>" aggregate ("*" for count(*)).
+Result<FoldAgg> ResolveAgg(AggKind kind, std::string_view column,
+                           const Schema& schema) {
+  FoldAgg out;
+  out.kind = kind;
+  if (column == "*") {
+    if (kind != AggKind::kCount) {
+      return Status::InvalidArgument("'*' is only valid with count");
+    }
+    return out;
+  }
+  out.column = schema.IndexOf(column);
+  if (out.column < 0) {
+    return Status::NotFound("agg column not in schema: " +
+                            std::string(column));
+  }
+  out.type = schema.column(static_cast<size_t>(out.column)).type;
+  return out;
+}
+
+// One record's raw fields, typed on demand with the batch scan's parsers
+// (Value::FromField semantics: empty or unparseable is null).
+struct FieldCells {
+  const std::string_view* fields;
+  bool Int64(size_t column, int64_t* v) const {
+    return ParseInt64Field(fields[column], v);
+  }
+  bool Double(size_t column, double* v) const {
+    return ParseDoubleField(fields[column], v);
+  }
+  bool String(size_t column, std::string_view* v) const {
+    *v = fields[column];
+    return !v->empty();
+  }
+};
 
 }  // namespace
 
@@ -96,43 +124,25 @@ Status GroupAggStorlet::Invoke(StorletInputStream& input,
     return Status::InvalidArgument("aggstorlet requires an 'aggs' parameter");
   }
 
-  struct AggSpec {
-    AggKind kind;
-    int column_index;  // -1 for count(*)
-    ColumnType type;
-  };
-  std::vector<AggSpec> specs;
-  std::vector<GroupKeySpec> key_specs;   // partials mode
-  std::vector<int> group_indices;        // csv mode
-  std::vector<AggKind> wire_kinds;       // partials mode frame header
-
+  GroupFoldSpec fold_spec;
+  std::vector<AggKind> wire_kinds;  // partials mode frame header
   if (partials_mode) {
     SCOOP_ASSIGN_OR_RETURN(
         AggPushdownSpec pushed,
         ParseAggPushdownSpec(group_param, Trim(aggs_it->second)));
     for (const std::string& g : pushed.group_specs) {
-      SCOOP_ASSIGN_OR_RETURN(GroupKeySpec ks, ResolveGroupSpec(g, schema));
-      key_specs.push_back(ks);
+      SCOOP_ASSIGN_OR_RETURN(FoldKey key, ResolveGroupSpec(g, schema));
+      fold_spec.keys.push_back(key);
     }
     for (size_t i = 0; i < pushed.agg_kinds.size(); ++i) {
-      AggSpec spec;
-      spec.kind = pushed.agg_kinds[i];
-      if (pushed.agg_columns[i] == "*") {
-        spec.column_index = -1;
-        spec.type = ColumnType::kInt64;
-      } else {
-        spec.column_index = schema.IndexOf(pushed.agg_columns[i]);
-        if (spec.column_index < 0) {
-          return Status::NotFound("agg column not in schema: " +
-                                  pushed.agg_columns[i]);
-        }
-        spec.type =
-            schema.column(static_cast<size_t>(spec.column_index)).type;
-      }
-      specs.push_back(spec);
+      SCOOP_ASSIGN_OR_RETURN(
+          FoldAgg agg,
+          ResolveAgg(pushed.agg_kinds[i], pushed.agg_columns[i], schema));
+      fold_spec.aggs.push_back(agg);
     }
     wire_kinds = std::move(pushed.agg_kinds);
   } else {
+    // Group columns are read as strings: raw field bytes, empty as null.
     if (!group_param.empty()) {
       for (std::string_view name : Split(group_param, ',')) {
         int idx = schema.IndexOf(Trim(name));
@@ -140,7 +150,9 @@ Status GroupAggStorlet::Invoke(StorletInputStream& input,
           return Status::NotFound("group column not in schema: " +
                                   std::string(Trim(name)));
         }
-        group_indices.push_back(idx);
+        FoldKey key;
+        key.column = static_cast<size_t>(idx);
+        fold_spec.keys.push_back(key);
       }
     }
     for (std::string_view part : Split(aggs_it->second, ',')) {
@@ -149,31 +161,16 @@ Status GroupAggStorlet::Invoke(StorletInputStream& input,
       if (colon == std::string_view::npos) {
         return Status::InvalidArgument("bad agg spec: " + std::string(part));
       }
-      AggSpec spec;
-      SCOOP_ASSIGN_OR_RETURN(spec.kind,
+      SCOOP_ASSIGN_OR_RETURN(AggKind kind,
                              AggKindFromName(part.substr(0, colon)));
-      if (spec.kind == AggKind::kAvg || spec.kind == AggKind::kFirstValue) {
+      if (kind == AggKind::kAvg || kind == AggKind::kFirstValue) {
         return Status::InvalidArgument(
             "aggstorlet supports sum/min/max/count in csv output mode "
             "(avg/first_value do not merge as single finalized values)");
       }
-      std::string_view column = Trim(part.substr(colon + 1));
-      if (column == "*") {
-        if (spec.kind != AggKind::kCount) {
-          return Status::InvalidArgument("'*' is only valid with count");
-        }
-        spec.column_index = -1;
-        spec.type = ColumnType::kInt64;
-      } else {
-        spec.column_index = schema.IndexOf(column);
-        if (spec.column_index < 0) {
-          return Status::NotFound("agg column not in schema: " +
-                                  std::string(column));
-        }
-        spec.type =
-            schema.column(static_cast<size_t>(spec.column_index)).type;
-      }
-      specs.push_back(spec);
+      SCOOP_ASSIGN_OR_RETURN(
+          FoldAgg agg, ResolveAgg(kind, Trim(part.substr(colon + 1)), schema));
+      fold_spec.aggs.push_back(agg);
     }
   }
 
@@ -185,72 +182,13 @@ Status GroupAggStorlet::Invoke(StorletInputStream& input,
   }
   bool has_selection = !selection.IsTrue();
 
-  // Group map keyed by the serialized group key (std::map: sorted,
-  // deterministic output order).
-  struct Entry {
-    std::vector<std::string> key_fields;  // csv mode: raw field bytes
-    Row key_values;                       // partials mode: typed values
-    std::vector<AggState> states;
-  };
-  std::map<std::string, Entry> groups;
-  int64_t rows_in = 0;
+  // Groups in SerializeGroupKey order: sorted, deterministic output.
+  GroupMap groups;
+  GroupFold fold(fold_spec);
+  int64_t rows_in = 0;  // selected rows only
 
-  // Folds one record (raw fields, schema order) into the group map. The
-  // partials mode computes typed keys with Value::FromField/SqlSubstring
-  // — the exact evaluation the driver executor runs — so group identity
-  // never depends on raw field spelling ("1.0" vs "1.00").
-  auto accumulate = [&](const std::string_view* fields) {
-    std::string key;
-    Row key_values;
-    if (partials_mode) {
-      key_values.reserve(key_specs.size());
-      for (const GroupKeySpec& ks : key_specs) {
-        std::string_view field = fields[static_cast<size_t>(ks.column_index)];
-        if (ks.is_substr) {
-          // Null (empty field) propagates through substr, like EvalExpr.
-          key_values.push_back(
-              field.empty()
-                  ? Value::Null()
-                  : Value(SqlSubstring(std::string(field), ks.pos, ks.len)));
-        } else {
-          key_values.push_back(Value::FromField(field, ks.type));
-        }
-      }
-      key = SerializeGroupKey(key_values);
-    } else {
-      for (int idx : group_indices) {
-        key.append(fields[static_cast<size_t>(idx)]);
-        key.push_back('\x1f');
-      }
-    }
-    auto [it, inserted] = groups.try_emplace(std::move(key));
-    Entry& entry = it->second;
-    if (inserted) {
-      if (partials_mode) {
-        entry.key_values = std::move(key_values);
-      } else {
-        for (int idx : group_indices) {
-          entry.key_fields.emplace_back(fields[static_cast<size_t>(idx)]);
-        }
-      }
-      entry.states.resize(specs.size());
-    }
-    for (size_t i = 0; i < specs.size(); ++i) {
-      const AggSpec& spec = specs[i];
-      if (spec.column_index < 0) {
-        entry.states[i].Update(AggKind::kCount,
-                               Value(static_cast<int64_t>(1)));
-      } else {
-        entry.states[i].Update(
-            spec.kind,
-            Value::FromField(fields[static_cast<size_t>(spec.column_index)],
-                             spec.type));
-      }
-    }
-  };
-
-  // Batched structural scan of the CSV input. rows_in counts selected rows
-  // only.
+  // Batched structural scan of the CSV input; each selected record folds
+  // straight from its raw fields.
   CsvStreamBatcher batcher(&input, schema.size());
   RawRecordBatch raw;
   std::vector<uint32_t> selected;
@@ -263,7 +201,7 @@ Status GroupAggStorlet::Invoke(StorletInputStream& input,
     }
     rows_in += static_cast<int64_t>(selected.size());
     for (uint32_t r : selected) {
-      accumulate(raw.fields.data() + r * raw.num_fields);
+      fold.Add(FieldCells{raw.fields.data() + r * raw.num_fields}, &groups);
     }
   }
 
@@ -272,12 +210,7 @@ Status GroupAggStorlet::Invoke(StorletInputStream& input,
     frame.agg_kinds = std::move(wire_kinds);
     frame.rows = rows_in;
     frame.groups.reserve(groups.size());
-    for (auto& [key, entry] : groups) {
-      AggPartialGroup group;
-      group.key_values = std::move(entry.key_values);
-      group.states = std::move(entry.states);
-      frame.groups.push_back(std::move(group));
-    }
+    for (auto& [key, group] : groups) frame.groups.push_back(std::move(group));
     std::string encoded;
     AppendAggPartialFrame(frame, &encoded);
     output.Write(encoded);
@@ -285,14 +218,13 @@ Status GroupAggStorlet::Invoke(StorletInputStream& input,
     std::string scratch;
     std::vector<std::string> rendered;
     std::vector<std::string_view> views;
-    for (const auto& [key, entry] : groups) {
+    for (const auto& [key, group] : groups) {
       rendered.clear();
       views.clear();
-      for (const std::string& field : entry.key_fields) {
-        rendered.push_back(field);
-      }
-      for (size_t i = 0; i < specs.size(); ++i) {
-        rendered.push_back(entry.states[i].Final(specs[i].kind).ToString());
+      for (const Value& v : group.key_values) rendered.push_back(v.ToString());
+      for (size_t i = 0; i < fold_spec.aggs.size(); ++i) {
+        rendered.push_back(
+            group.states[i].Final(fold_spec.aggs[i].kind).ToString());
       }
       for (const std::string& s : rendered) views.push_back(s);
       scratch.clear();

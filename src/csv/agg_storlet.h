@@ -22,21 +22,25 @@ namespace scoop {
 //               string columns (AggPushdownSpec::GroupParam rendering)
 //   aggs      — comma-separated "<fn>:<column>" specs; count accepts "*"
 //               as column (required). CSV mode allows sum/min/max/count
-//               (avg does not merge as a single finalized value);
-//               partials mode additionally allows avg, whose (sum,count)
-//               state merges fine
+//               (avg and first_value do not merge as single finalized
+//               values); partials mode additionally allows avg, whose
+//               (sum,count) state merges fine, and first_value, whose
+//               state merges in partition order
 //   selection — serialized SourceFilter applied before aggregating
 //   output    — "csv" (default) or "partials"
 //
 // Input is CSV text, the one format storlet stages exchange.
 //
-// Output, csv mode: rows "<group values...>,<agg values...>", one per
-// group, sorted by raw group-key bytes; sum/count over integer columns
-// stay integral. Output, partials mode: one SAG1 frame (sql/agg_wire.h)
-// of typed group keys + mergeable AggStates, sorted by the driver's
+// Both modes fold records with the driver's own GroupFold
+// (sql/group_fold.h). Output, csv mode: rows "<group values...>,<agg
+// values...>", one per group, with group columns read as raw strings
+// (empty as null) and sorted by SerializeGroupKey; sum/count over
+// integer columns stay integral. Output, partials mode: one SAG1 frame
+// (sql/agg_wire.h) of typed group keys + mergeable AggStates, sorted by
 // SerializeGroupKey. Both are *partial* results for one object/range;
 // the compute side merges partials across requests with the AggState
-// machinery in sql/aggregates.h.
+// machinery in sql/aggregates.h. Records fold in object order, so a
+// partials-mode first_value state holds the range's first record.
 class GroupAggStorlet : public Storlet {
  public:
   static constexpr char kName[] = "aggstorlet";

@@ -8,8 +8,7 @@ namespace scoop {
 
 namespace {
 
-// Parses one raw field into `col` with Value::FromField semantics:
-// empty -> null, strict numeric parse, unparseable numerics -> null.
+// Parses one raw field into `col` with Value::FromField semantics.
 void AppendField(std::string_view field, ColumnType type, ColumnVector* col) {
   if (field.empty()) {
     col->AppendNull();
@@ -20,28 +19,18 @@ void AppendField(std::string_view field, ColumnType type, ColumnVector* col) {
       col->AppendString(field);
       return;
     case ColumnType::kInt64: {
-      int64_t fast;
-      if (FastParseInt64(field, &fast)) {
-        col->AppendInt64(fast);
-        return;
-      }
-      Result<int64_t> parsed = ParseInt64(field);
-      if (parsed.ok()) {
-        col->AppendInt64(*parsed);
+      int64_t v = 0;
+      if (ParseInt64Field(field, &v)) {
+        col->AppendInt64(v);
       } else {
         col->AppendNull();
       }
       return;
     }
     case ColumnType::kDouble: {
-      double fast;
-      if (FastParseDouble(field, &fast)) {
-        col->AppendDouble(fast);
-        return;
-      }
-      Result<double> parsed = ParseDouble(field);
-      if (parsed.ok()) {
-        col->AppendDouble(*parsed);
+      double v = 0;
+      if (ParseDoubleField(field, &v)) {
+        col->AppendDouble(v);
       } else {
         col->AppendNull();
       }

@@ -17,6 +17,7 @@
 
 #include "columnar/record_batch.h"
 #include "columnar/schema.h"
+#include "common/strings.h"
 
 namespace scoop {
 
@@ -29,6 +30,28 @@ struct CsvBatchOptions {
   // memory, never splits a record.
   size_t window_bytes = 256 * 1024;
 };
+
+// Types one raw numeric CSV field the way the scan does, with
+// Value::FromField semantics: false (null) for an empty or unparseable
+// field. The fast parsers take the common shapes; the rest falls back to
+// ParseInt64/ParseDouble.
+inline bool ParseInt64Field(std::string_view field, int64_t* out) {
+  if (FastParseInt64(field, out)) return true;
+  if (field.empty()) return false;
+  Result<int64_t> parsed = ParseInt64(field);
+  if (!parsed.ok()) return false;
+  *out = *parsed;
+  return true;
+}
+
+inline bool ParseDoubleField(std::string_view field, double* out) {
+  if (FastParseDouble(field, out)) return true;
+  if (field.empty()) return false;
+  Result<double> parsed = ParseDouble(field);
+  if (!parsed.ok()) return false;
+  *out = *parsed;
+  return true;
+}
 
 // Walks a fully-buffered window using the structural scan, yielding one
 // record at a time as unescaped field views. Blank lines are skipped,

@@ -420,11 +420,16 @@ bool ParquetCanSkip(const SourceFilter& filter, const Schema& schema,
     return false;
   }
 
+  // A numeric literal takes the column's numeric type, except that a
+  // non-integer literal on an int64 column compares as a double, as
+  // SourceFilter::MatchRows and sql/batch_eval.cc do.
+  ColumnType lit_type = type == ColumnType::kString ? ColumnType::kDouble
+                                                    : type;
+  if (lit_type == ColumnType::kInt64 && !ParseInt64(filter.literal).ok()) {
+    lit_type = ColumnType::kDouble;
+  }
   Value lit = filter.literal_is_number
-                  ? Value::FromField(filter.literal,
-                                     type == ColumnType::kString
-                                         ? ColumnType::kDouble
-                                         : type)
+                  ? Value::FromField(filter.literal, lit_type)
                   : Value(filter.literal);
   Value lo = Value::FromField(s.min, type);
   Value hi = Value::FromField(s.max, type);

@@ -436,11 +436,20 @@ HttpResponse ProxyServer::HandleObject(Request& request,
       // One timestamp for all replicas: last-write-wins convergence.
       request.headers.Set(kTimestampHeader,
                           std::to_string(timestamp_seq_.fetch_add(1)));
+      // The object server moves the body out of the request it is given,
+      // so the size is read first and only the last replica gets
+      // `request` itself; the others get copies.
+      const uint64_t body_size = request.body.size();
       int successes = 0;
       std::string etag;
-      for (int device : replicas) {
-        Request replica_request = request;
-        HttpResponse r = SendToDevice(device, replica_request);
+      for (size_t i = 0; i < replicas.size(); ++i) {
+        HttpResponse r;
+        if (i + 1 < replicas.size()) {
+          Request replica_request = request;
+          r = SendToDevice(replicas[i], replica_request);
+        } else {
+          r = SendToDevice(replicas[i], request);
+        }
         if (r.ok()) {
           ++successes;
           etag = r.headers.GetOr(kEtagHeader, etag);
@@ -458,7 +467,7 @@ HttpResponse ProxyServer::HandleObject(Request& request,
       }
       if (Status s = registry_->RecordObject(
               path.account, path.container,
-              ObjectInfo{path.object, request.body.size(), etag});
+              ObjectInfo{path.object, body_size, etag});
           !s.ok()) {
         // The container vanished between the existence check above and the
         // metadata write (concurrent container DELETE). The replicas hold

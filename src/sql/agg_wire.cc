@@ -1,5 +1,7 @@
 #include "sql/agg_wire.h"
 
+#include <charconv>
+#include <cstdio>
 #include <cstring>
 
 #include "common/strings.h"
@@ -154,11 +156,6 @@ Result<AggPushdownSpec> ParseAggPushdownSpec(std::string_view group_param,
     }
     SCOOP_ASSIGN_OR_RETURN(AggKind kind,
                            AggKindFromName(item.substr(0, colon)));
-    if (kind == AggKind::kFirstValue) {
-      return Status::InvalidArgument(
-          "agg spec: first_value is not distributable as a partial state "
-          "across out-of-order storlet responses");
-    }
     std::string column(item.substr(colon + 1));
     if (column == "*" && kind != AggKind::kCount) {
       return Status::InvalidArgument("agg spec: '*' is only valid in count()");
@@ -169,24 +166,45 @@ Result<AggPushdownSpec> ParseAggPushdownSpec(std::string_view group_param,
   return spec;
 }
 
+void AppendGroupKeyNull(std::string* out) { out->append("n\x1f", 2); }
+
+void AppendGroupKeyInt64(int64_t v, std::string* out) {
+  char buf[24];
+  buf[0] = 'i';
+  char* end = std::to_chars(buf + 1, buf + sizeof(buf) - 1, v).ptr;
+  *end++ = '\x1f';
+  out->append(buf, static_cast<size_t>(end - buf));
+}
+
+void AppendGroupKeyDouble(double v, std::string* out) {
+  char buf[40];
+  int n = std::snprintf(buf, sizeof(buf), "d%a\x1f", v);
+  out->append(buf, static_cast<size_t>(n));
+}
+
+void AppendGroupKeyString(std::string_view v, std::string* out) {
+  out->push_back('s');
+  out->append(v);
+  out->push_back('\x1f');
+}
+
 std::string SerializeGroupKey(const Row& key) {
   std::string out;
   for (const Value& v : key) {
     switch (v.type()) {
       case ValueType::kNull:
-        out += "n";
+        AppendGroupKeyNull(&out);
         break;
       case ValueType::kInt64:
-        out += "i" + std::to_string(v.AsInt64());
+        AppendGroupKeyInt64(v.AsInt64(), &out);
         break;
       case ValueType::kDouble:
-        out += "d" + StrFormat("%a", v.AsDoubleExact());
+        AppendGroupKeyDouble(v.AsDoubleExact(), &out);
         break;
       case ValueType::kString:
-        out += "s" + v.AsString();
+        AppendGroupKeyString(v.AsString(), &out);
         break;
     }
-    out.push_back('\x1f');
   }
   return out;
 }

@@ -71,8 +71,17 @@ struct AggPartialFrame {
 
 // Canonical serialization of a group-key row — the map key both the
 // driver executor and the storlet group by, so group identity is decided
-// by exactly one function on both sides.
+// by exactly one encoder on both sides. Each value appends a type tag
+// ('n' null, 'i' decimal int64, 'd' "%a" double, 's' raw string) and a
+// 0x1f separator. SerializeGroupKey and the group fold (sql/group_fold.h)
+// both go through the AppendGroupKey* encoder, so the key bytes, the
+// std::map order and with it the no-ORDER-BY output order are the same
+// on every path.
 std::string SerializeGroupKey(const Row& key);
+void AppendGroupKeyNull(std::string* out);
+void AppendGroupKeyInt64(int64_t v, std::string* out);
+void AppendGroupKeyDouble(double v, std::string* out);
+void AppendGroupKeyString(std::string_view v, std::string* out);
 
 // Appends one frame carrying `frame` to `out`.
 void AppendAggPartialFrame(const AggPartialFrame& frame, std::string* out);

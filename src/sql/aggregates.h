@@ -27,6 +27,17 @@ class AggState {
   // passes a non-null dummy per row.
   void Update(AggKind kind, const Value& v);
 
+  // Update(kind, Value(v)) for a non-null string input, without building
+  // the Value unless the state keeps it.
+  void UpdateString(AggKind kind, std::string_view v);
+
+  // True when no further Update can change the state: a first_value
+  // that already holds its row. The group fold skips such inputs
+  // unparsed.
+  bool Settled(AggKind kind) const {
+    return kind == AggKind::kFirstValue && has_first_;
+  }
+
   // Folds another partial state in. For first_value, `this` is the state
   // of the earlier partition and wins when it saw any row.
   void Merge(AggKind kind, const AggState& other);

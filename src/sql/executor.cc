@@ -255,6 +255,7 @@ Result<std::shared_ptr<const PhysicalPlan>> PhysicalPlan::Create(
     }
   }
   plan->output_schema_ = Schema(std::move(output_columns));
+  plan->CompileGroupFold();
   plan->ComputeAggPushdown();
   plan->limit_pushdown_eligible_ =
       !plan->has_aggregates_ && plan->limit_ >= 0 &&
@@ -262,56 +263,76 @@ Result<std::shared_ptr<const PhysicalPlan>> PhysicalPlan::Create(
   return std::shared_ptr<const PhysicalPlan>(plan);
 }
 
+void PhysicalPlan::CompileGroupFold() {
+  if (!has_aggregates_) return;
+  auto fold = std::make_unique<GroupFoldSpec>();
+  for (const auto& expr : group_exprs_) {
+    FoldKey key;
+    const Expr* column = expr.get();
+    if (expr->kind == Expr::Kind::kFunc &&
+        (expr->name == "substring" || expr->name == "substr") &&
+        expr->args.size() == 3) {
+      // substr(string-column, int-literal, int-literal) — the shape the
+      // Table-I rollups group by. Literals past 2^53 stay on the Row
+      // path: EvalExpr reads them through a double.
+      const Expr& pos = *expr->args[1];
+      const Expr& len = *expr->args[2];
+      auto exact = [](const Expr& e) {
+        constexpr int64_t kExact = int64_t{1} << 53;
+        return e.kind == Expr::Kind::kLiteral &&
+               e.literal.type() == ValueType::kInt64 &&
+               e.literal.AsInt64() >= -kExact && e.literal.AsInt64() <= kExact;
+      };
+      if (!exact(pos) || !exact(len)) return;
+      key.is_substr = true;
+      key.pos = pos.literal.AsInt64();
+      key.len = len.literal.AsInt64();
+      column = expr->args[0].get();
+    }
+    if (column->kind != Expr::Kind::kColumn) return;
+    key.column = static_cast<size_t>(column->col_index);
+    key.type = scan_schema_.column(key.column).type;
+    if (key.is_substr && key.type != ColumnType::kString) return;
+    fold->keys.push_back(key);
+  }
+  for (const AggSpec& spec : agg_specs_) {
+    FoldAgg agg;
+    agg.kind = spec.kind;
+    if (spec.arg != nullptr) {
+      if (spec.arg->kind != Expr::Kind::kColumn) return;
+      agg.column = spec.arg->col_index;
+      agg.type = scan_schema_.column(static_cast<size_t>(agg.column)).type;
+    }
+    fold->aggs.push_back(agg);
+  }
+  fold_ = std::move(fold);
+}
+
 void PhysicalPlan::ComputeAggPushdown() {
-  // Residual predicates and HAVING need raw rows / final aggregates at
-  // the driver, so either disqualifies the whole query; ORDER BY does
-  // not (it runs over the merged groups).
-  if (!has_aggregates_ || !residual_conjuncts_.empty() ||
-      having_ != nullptr) {
+  // The store runs the same fold the driver does, so the distributable
+  // shapes are the fold's. Residual predicates and HAVING need raw rows
+  // / final aggregates at the driver, so either disqualifies the whole
+  // query; ORDER BY does not (it runs over the merged groups).
+  if (fold_ == nullptr || fold_->aggs.empty() ||
+      !residual_conjuncts_.empty() || having_ != nullptr) {
     return;
   }
   auto spec = std::make_unique<AggPushdownSpec>();
-  for (const auto& expr : group_exprs_) {
-    if (expr->kind == Expr::Kind::kColumn) {
-      spec->group_specs.push_back(expr->name);
-      continue;
-    }
-    // substr(string-column, int-literal, int-literal) — the shape the
-    // Table-I monthly rollups group by.
-    if (expr->kind == Expr::Kind::kFunc &&
-        (expr->name == "substring" || expr->name == "substr") &&
-        expr->args.size() == 3 &&
-        expr->args[0]->kind == Expr::Kind::kColumn &&
-        expr->args[1]->kind == Expr::Kind::kLiteral &&
-        expr->args[1]->literal.type() == ValueType::kInt64 &&
-        expr->args[2]->kind == Expr::Kind::kLiteral &&
-        expr->args[2]->literal.type() == ValueType::kInt64) {
-      int col = scan_schema_.IndexOf(expr->args[0]->name);
-      if (col < 0 ||
-          scan_schema_.column(static_cast<size_t>(col)).type !=
-              ColumnType::kString) {
-        return;
-      }
-      spec->group_specs.push_back(StrFormat(
-          "substr(%s,%lld,%lld)", expr->args[0]->name.c_str(),
-          static_cast<long long>(expr->args[1]->literal.AsInt64()),
-          static_cast<long long>(expr->args[2]->literal.AsInt64())));
-      continue;
-    }
-    return;
+  for (const FoldKey& key : fold_->keys) {
+    const std::string& column = scan_schema_.column(key.column).name;
+    spec->group_specs.push_back(
+        key.is_substr ? StrFormat("substr(%s,%lld,%lld)", column.c_str(),
+                                  static_cast<long long>(key.pos),
+                                  static_cast<long long>(key.len))
+                      : column);
   }
-  for (const AggSpec& agg : agg_specs_) {
-    if (agg.kind == AggKind::kFirstValue) return;  // order-sensitive
-    if (agg.arg == nullptr) {
-      spec->agg_kinds.push_back(agg.kind);
-      spec->agg_columns.push_back("*");
-      continue;
-    }
-    if (agg.arg->kind != Expr::Kind::kColumn) return;
+  for (const FoldAgg& agg : fold_->aggs) {
     spec->agg_kinds.push_back(agg.kind);
-    spec->agg_columns.push_back(agg.arg->name);
+    spec->agg_columns.push_back(
+        agg.column < 0
+            ? "*"
+            : scan_schema_.column(static_cast<size_t>(agg.column)).name);
   }
-  if (spec->agg_kinds.empty()) return;
   agg_pushdown_ = std::move(spec);
 }
 
@@ -341,6 +362,37 @@ void PhysicalPlan::ProcessBatch(const RecordBatch& batch,
     FilterBatch(*conjunct, batch, &selection);
   }
   partial->rows_passed += static_cast<int64_t>(selection.size());
+  if (fold_ != nullptr) {
+    struct BatchCells {
+      const RecordBatch& batch;
+      int64_t row = 0;
+      bool Int64(size_t column, int64_t* v) const {
+        const ColumnVector& col = batch.column(column);
+        if (col.is_null(row)) return false;
+        *v = col.Int64At(row);
+        return true;
+      }
+      bool Double(size_t column, double* v) const {
+        const ColumnVector& col = batch.column(column);
+        if (col.is_null(row)) return false;
+        *v = col.DoubleAt(row);
+        return true;
+      }
+      bool String(size_t column, std::string_view* v) const {
+        const ColumnVector& col = batch.column(column);
+        if (col.is_null(row)) return false;
+        *v = col.StringAt(row);
+        return true;
+      }
+    };
+    GroupFold fold(*fold_);
+    BatchCells cells{batch};
+    for (uint32_t r : selection) {
+      cells.row = r;
+      fold.Add(cells, &partial->groups);
+    }
+    return;
+  }
   Row scratch;
   for (uint32_t r : selection) {
     batch.ExtractRow(r, &scratch);
@@ -355,7 +407,7 @@ void PhysicalPlan::AccumulateRow(const Row& row, PartialResult* partial) const {
     for (const auto& expr : group_exprs_) key.push_back(EvalExpr(*expr, row));
     std::string serialized = SerializeGroupKey(key);
     auto [it, inserted] = partial->groups.try_emplace(std::move(serialized));
-    PartialResult::GroupEntry& entry = it->second;
+    AggPartialGroup& entry = it->second;
     if (inserted) {
       entry.key_values = std::move(key);
       entry.states.resize(agg_specs_.size());
@@ -422,10 +474,9 @@ Status PhysicalPlan::AbsorbAggPartials(const AggPartialFrame& frame,
     }
     auto [it, inserted] =
         partial->groups.try_emplace(SerializeGroupKey(group.key_values));
-    PartialResult::GroupEntry& entry = it->second;
+    AggPartialGroup& entry = it->second;
     if (inserted) {
-      entry.key_values = group.key_values;
-      entry.states = group.states;
+      entry = group;
       continue;
     }
     for (size_t i = 0; i < agg_specs_.size(); ++i) {
@@ -440,7 +491,7 @@ Result<ResultTable> PhysicalPlan::Finalize(PartialResult&& partial) const {
   if (has_aggregates_) {
     if (partial.groups.empty() && group_exprs_.empty()) {
       // Global aggregate over zero rows still yields one row.
-      PartialResult::GroupEntry entry;
+      AggPartialGroup entry;
       entry.states.resize(agg_specs_.size());
       partial.groups.emplace("", std::move(entry));
     }

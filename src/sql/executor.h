@@ -1,7 +1,6 @@
 #ifndef SCOOP_SQL_EXECUTOR_H_
 #define SCOOP_SQL_EXECUTOR_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +11,7 @@
 #include "sql/aggregates.h"
 #include "sql/ast.h"
 #include "sql/catalyst.h"
+#include "sql/group_fold.h"
 #include "sql/schema.h"
 #include "sql/value.h"
 
@@ -34,11 +34,7 @@ struct PartialResult {
   // Non-aggregate plans: visible output values followed by sort-key values.
   std::vector<Row> rows;
   // Aggregate plans: serialized group key -> (key values, agg states).
-  struct GroupEntry {
-    Row key_values;
-    std::vector<AggState> states;
-  };
-  std::map<std::string, GroupEntry> groups;
+  GroupMap groups;
 
   int64_t rows_seen = 0;    // rows offered to the plan
   int64_t rows_passed = 0;  // rows surviving the filters
@@ -69,11 +65,13 @@ class PhysicalPlan {
   bool has_aggregates() const { return has_aggregates_; }
 
   // Non-null when the aggregation is distributable to the store: every
-  // aggregate is sum/min/max/count/avg over a bare scan column (or
-  // count(*)), every GROUP BY key is a bare column or
+  // aggregate (sum/min/max/count/avg/first_value) is over a bare scan
+  // column (or is count(*)), every GROUP BY key is a bare column or
   // substr(string-column, int-literal, int-literal), and no residual
-  // predicate or HAVING forces raw rows back to the driver. Unsupported
-  // shapes return null and keep the select-only pushdown.
+  // predicate or HAVING forces raw rows back to the driver. first_value
+  // qualifies because a storlet folds its partition's records in object
+  // order and the driver merges partitions in partition order.
+  // Unsupported shapes return null and keep the select-only pushdown.
   const AggPushdownSpec* agg_pushdown() const { return agg_pushdown_.get(); }
 
   // True when a source may stop the scan after limit() filter-surviving
@@ -92,9 +90,12 @@ class PhysicalPlan {
 
   // Batch-native equivalent: feeds every row of `batch` (typed per
   // scan_schema()). The WHERE conjuncts narrow a selection vector via
-  // the vectorized kernels in sql/batch_eval.h; only the survivors are
-  // materialized as rows for aggregation/projection. Produces the exact
-  // PartialResult that per-row ProcessRow calls over the same data would.
+  // the vectorized kernels in sql/batch_eval.h. When every group key and
+  // aggregate input is a bare column (or a substr key, or count(*)), the
+  // survivors fold straight from the column vectors (sql/group_fold.h);
+  // any other shape materializes them as rows for AccumulateRow.
+  // Produces the exact PartialResult that per-row ProcessRow calls over
+  // the same data would.
   void ProcessBatch(const RecordBatch& batch, bool filters_already_applied,
                     PartialResult* partial) const;
 
@@ -139,12 +140,18 @@ class PhysicalPlan {
   // raw column survives the rewrite.
   Result<std::unique_ptr<Expr>> RewriteAggregateExpr(const Expr& expr);
 
+  // Fills fold_ when every group key and aggregate input reads one scan
+  // column (see ProcessBatch).
+  void CompileGroupFold();
+
   // Fills agg_pushdown_ when the compiled aggregation matches the
   // distributable shape (see agg_pushdown()).
   void ComputeAggPushdown();
 
   // Post-filter half of ProcessRow: aggregation update or output/sort
-  // projection for one row that already passed the WHERE conjuncts.
+  // projection for one row that already passed the WHERE conjuncts. The
+  // scalar oracle's path, and ProcessBatch's for shapes fold_ cannot
+  // take.
   void AccumulateRow(const Row& row, PartialResult* partial) const;
 
   Schema table_schema_;
@@ -178,6 +185,7 @@ class PhysicalPlan {
   std::vector<bool> sort_descending_;
 
   int64_t limit_ = -1;
+  std::unique_ptr<GroupFoldSpec> fold_;
   std::unique_ptr<AggPushdownSpec> agg_pushdown_;
   bool limit_pushdown_eligible_ = false;
 };

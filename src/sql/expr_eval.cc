@@ -30,18 +30,20 @@ std::optional<double> NumericOf(const Value& v) {
 
 Value EvalArith(BinaryOp op, const Value& lhs, const Value& rhs) {
   if (lhs.is_null() || rhs.is_null()) return Value::Null();
-  // Integer arithmetic stays integral except for division.
+  // Integer arithmetic stays integral except for division, and wraps in
+  // two's complement like the aggregates' integer sums (Spark's non-ANSI
+  // mode): signed overflow is UB, unsigned arithmetic wraps.
   if (op != BinaryOp::kDiv && lhs.type() == ValueType::kInt64 &&
       rhs.type() == ValueType::kInt64) {
-    int64_t a = lhs.AsInt64();
-    int64_t b = rhs.AsInt64();
+    uint64_t a = static_cast<uint64_t>(lhs.AsInt64());
+    uint64_t b = static_cast<uint64_t>(rhs.AsInt64());
     switch (op) {
       case BinaryOp::kAdd:
-        return Value(a + b);
+        return Value(static_cast<int64_t>(a + b));
       case BinaryOp::kSub:
-        return Value(a - b);
+        return Value(static_cast<int64_t>(a - b));
       case BinaryOp::kMul:
-        return Value(a * b);
+        return Value(static_cast<int64_t>(a * b));
       default:
         break;
     }
@@ -134,6 +136,11 @@ Status BindExpr(Expr* expr, const Schema& schema) {
 }
 
 std::string SqlSubstring(const std::string& s, int64_t pos, int64_t len) {
+  return std::string(SqlSubstringView(s, pos, len));
+}
+
+std::string_view SqlSubstringView(std::string_view s, int64_t pos,
+                                  int64_t len) {
   if (len < 0) len = 0;
   int64_t n = static_cast<int64_t>(s.size());
   int64_t start;
@@ -150,7 +157,7 @@ std::string SqlSubstring(const std::string& s, int64_t pos, int64_t len) {
       if (len < 0) len = 0;
     }
   }
-  if (start >= n) return "";
+  if (start >= n) return {};
   len = std::min(len, n - start);
   return s.substr(static_cast<size_t>(start), static_cast<size_t>(len));
 }
@@ -173,7 +180,10 @@ Value EvalExpr(const Expr& expr, const Row& row) {
         return Value(static_cast<int64_t>(Truthy(v) ? 0 : 1));
       }
       if (v.is_null()) return Value::Null();
-      if (v.type() == ValueType::kInt64) return Value(-v.AsInt64());
+      if (v.type() == ValueType::kInt64) {
+        return Value(static_cast<int64_t>(
+            uint64_t{0} - static_cast<uint64_t>(v.AsInt64())));
+      }
       auto num = NumericOf(v);
       if (!num) return Value::Null();
       return Value(-*num);

@@ -3,6 +3,7 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "sql/ast.h"
@@ -38,6 +39,9 @@ ColumnType InferType(const Expr& expr, const Schema& schema);
 // SUBSTRING(str, pos, len) with Spark semantics: 1-based `pos` (0 treated
 // as 1), negative `pos` counts from the end, results clamped to the string.
 std::string SqlSubstring(const std::string& s, int64_t pos, int64_t len);
+// The same cut as a view into `s`.
+std::string_view SqlSubstringView(std::string_view s, int64_t pos,
+                                  int64_t len);
 
 }  // namespace scoop
 

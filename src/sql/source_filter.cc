@@ -188,6 +188,11 @@ SourceFilter SourceFilter::Compare(Op op, std::string column,
     char* end =
         std::to_chars(buf, buf + sizeof(buf), literal.AsDoubleExact()).ptr;
     f.literal.assign(buf, end);
+    // An integral double keeps a ".0", so the store compares it as a
+    // double (like the driver), never exactly against an int64 column.
+    if (f.literal.find_first_of(".ein") == std::string::npos) {
+      f.literal += ".0";
+    }
   } else {
     f.literal = literal.ToString();
   }

@@ -579,6 +579,60 @@ TEST_F(ChaosQueryTest, MidStreamFaultNeverDoubleCountsPartials) {
   }
 }
 
+TEST_F(ChaosQueryTest, FirstValuePartialsMixedWithRawRowsStayIdentical) {
+  // first_value ships as a partial state that holds its partition's first
+  // row. When some partitions arrive as SAG1 frames and the rest as raw
+  // rows after the storlet crashed, the partition-order merge must still
+  // pick each group's first row: the result equals a fault-free pushdown
+  // run, a never-pushdown run and the single-process reference.
+  const std::string sql =
+      "SELECT vid, sum(index) as total, first_value(date) as first_date, "
+      "first_value(lat) as lat, first_value(city) as city FROM meter "
+      "WHERE date LIKE '2015-01%' GROUP BY vid ORDER BY vid";
+  auto clean = session_->Sql(sql);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  ASSERT_EQ(clean->stats.partitions_pushdown, clean->stats.partitions);
+  const std::string want = clean->table.ToCsv();
+
+  GeneratorConfig gen_config;
+  gen_config.num_meters = 6;
+  gen_config.readings_per_meter = 400;
+  gen_config.seed = 77;
+  GridPocketGenerator generator(gen_config);
+  std::string csv;
+  generator.AppendCsv(0, 6 * 400, &csv);
+  Schema schema = GridPocketGenerator::MeterSchema();
+  ScalarRowReader reader(csv, &schema);
+  std::vector<Row> rows;
+  Row row;
+  while (reader.Next(&row)) rows.push_back(row);
+  auto outside = ExecuteSqlOverRows(sql, schema, rows);
+  ASSERT_TRUE(outside.ok()) << outside.status();
+  ASSERT_EQ(outside->ToCsv(), want);
+
+  CsvSourceOptions options;
+  options.chunk_size = 16 * 1024;
+  session_->RegisterCsvTable("meterNoPush", "meters", "m", schema, false,
+                             options);
+  std::string plain_sql = sql;
+  plain_sql.replace(plain_sql.find("meter "), 5, "meterNoPush");
+  auto plain = session_->Sql(plain_sql);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  ASSERT_EQ(plain->table.ToCsv(), want);
+
+  // The first three storlet writes go out, every later one crashes.
+  FailpointSpec spec;
+  spec.skip = 3;
+  ASSERT_TRUE(Failpoints::Global().Arm("engine.stage_crash", spec).ok());
+  int64_t fallbacks_before = Fallbacks();
+  auto mixed = session_->Sql(sql);
+  ASSERT_TRUE(mixed.ok()) << mixed.status();
+  EXPECT_EQ(mixed->table.ToCsv(), want);
+  EXPECT_GT(Fallbacks(), fallbacks_before);
+  EXPECT_GT(mixed->stats.partitions_pushdown, 0);
+  EXPECT_LT(mixed->stats.partitions_pushdown, mixed->stats.partitions);
+}
+
 TEST_F(ChaosQueryTest, ReplicaFaultUnderPushdownIsInvisible) {
   // A device error under a pushdown read exercises the proxy's
   // response-level failover with storlet headers in play.

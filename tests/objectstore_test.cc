@@ -299,6 +299,31 @@ TEST_F(SwiftClusterTest, ObjectsReplicatedToRingDevices) {
   EXPECT_EQ(copies, 3);
 }
 
+TEST_F(SwiftClusterTest, PutRecordsSizeAndStoresPayloadOnEveryReplica) {
+  // The proxy hands the last replica the request body itself rather than
+  // a copy; the listing must still record the payload's size, and every
+  // replica must hold the full payload.
+  ASSERT_TRUE(client_->CreateContainer("data").ok());
+  std::string payload(kIntegrityChunkSize + 17, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>('a' + (i * 31) % 26);
+  }
+  ASSERT_TRUE(client_->PutObject("data", "obj", payload).ok());
+  auto list = client_->ListObjects("data");
+  ASSERT_TRUE(list.ok());
+  ASSERT_EQ(list->size(), 1u);
+  EXPECT_EQ((*list)[0].size, payload.size());
+  const std::string path = "/acct/data/obj";
+  auto devices = cluster_->DevicesById();
+  const std::vector<int>& replicas = cluster_->ring().GetNodes(path);
+  ASSERT_EQ(replicas.size(), 3u);
+  for (int id : replicas) {
+    auto stored = devices[id]->GetShared(path);
+    ASSERT_TRUE(stored.ok()) << path << " on device " << id;
+    EXPECT_TRUE((*stored)->data == payload) << "device " << id;
+  }
+}
+
 TEST_F(SwiftClusterTest, EtagFollowsContentOnEveryReplica) {
   ASSERT_TRUE(client_->CreateContainer("data").ok());
   // Two full integrity chunks and a partial one.

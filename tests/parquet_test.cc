@@ -257,6 +257,12 @@ TEST(ParquetSkipTest, StatsBasedSkipping) {
   EXPECT_FALSE(can_skip("(le vid 100)"));
   EXPECT_TRUE(can_skip("(gt vid 200)"));
   EXPECT_FALSE(can_skip("(ge vid 200)"));
+  // A non-integer literal on an int64 column compares as a double.
+  EXPECT_FALSE(can_skip("(lt vid 150.5)"));
+  EXPECT_FALSE(can_skip("(le vid 150.5)"));
+  EXPECT_FALSE(can_skip("(gt vid 150.0)"));
+  EXPECT_TRUE(can_skip("(gt vid 200.5)"));
+  EXPECT_TRUE(can_skip("(lt vid 99.5)"));
   EXPECT_TRUE(can_skip("(like city \"Rotter%\")"));  // above max "Paris"
   EXPECT_FALSE(can_skip("(like city \"Am%\")"));
   EXPECT_TRUE(can_skip("(and (eq vid 150) (eq vid 300))"));  // one side skips

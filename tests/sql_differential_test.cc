@@ -4,8 +4,9 @@
 // pushdown (GroupAggStorlet partial states, DESIGN.md §3i). Every seeded
 // query must produce an identical result table in all three modes and
 // match the single-process reference evaluator — the planner's
-// eligibility matrix (residuals, HAVING, first_value, LIMIT shapes) is
-// exactly the boundary this fuzzer patrols.
+// eligibility matrix (residuals, HAVING, LIMIT shapes) and the
+// order-sensitive first_value partial state are exactly the boundary
+// this fuzzer patrols.
 //
 // Replay one failing seed:  SCOOP_FUZZ_SEED=<n> ./sql_differential_test
 #include <gtest/gtest.h>
@@ -223,6 +224,9 @@ class SqlDifferentialTest : public ::testing::Test {
 struct FuzzQuery {
   std::string sql;      // with %T% table placeholder
   std::string dataset;  // "meters" or "corner"
+  // A first_value query with no residual and no HAVING: the aggregate
+  // pushdown must ship it as SAG1 partials.
+  bool pushes_first_value = false;
 };
 
 FuzzQuery GenerateQuery(uint64_t seed) {
@@ -325,9 +329,16 @@ FuzzQuery GenerateQuery(uint64_t seed) {
   }
   if (with_having) select += (select.empty() ? "" : ", ") + std::string(
       "count(*) as cnt");
-  // first_value is order-sensitive, so it is never distributable; at low
-  // probability it rides along to exercise that fallback.
-  if (pick(8) == 0) select += ", first_value(city) as fv";
+  // first_value is order-sensitive: its partial state holds the first
+  // row of a partition, and partitions merge in partition order. At low
+  // probability it rides along.
+  if (pick(8) == 0) {
+    select += ", first_value(city) as fv";
+    // "BETWEEN -10 AND n" stays residual too: the planner pushes no
+    // negated literal.
+    out.pushes_first_value = !add_residual && !with_having &&
+                             where.find("-10") == std::string::npos;
+  }
 
   out.sql = "SELECT " + select + " FROM %T%" + where;
   if (!groups.empty()) {
@@ -352,17 +363,27 @@ TEST_F(SqlDifferentialTest, RandomizedThreeModeDifferential) {
     first = std::strtoull(replay, nullptr, 10);
     last = first + 1;
   }
+  Counter* partial_aggs =
+      cluster_->metrics().GetCounter("pushdown.partial_aggs");
+  int first_value_pushed = 0;
   for (uint64_t seed = first; seed < last; ++seed) {
     FuzzQuery q = GenerateQuery(seed);
+    const int64_t partials_before = partial_aggs->value();
     CheckQuery(q.sql, q.dataset, seed);
+    if (q.pushes_first_value) {
+      EXPECT_GT(partial_aggs->value(), partials_before)
+          << "first_value query was not pushed down: seed=" << seed
+          << " sql=" << q.sql;
+      ++first_value_pushed;
+    }
     if (HasFatalFailure() || HasNonfatalFailure()) break;  // first divergence
   }
 
   // The run must actually have exercised the pushdown paths — a fuzzer
   // that silently stopped pushing aggregates would pass vacuously.
   if (replay == nullptr) {
-    EXPECT_GT(cluster_->metrics().GetCounter("pushdown.partial_aggs")->value(),
-              0);
+    EXPECT_GT(partial_aggs->value(), 0);
+    EXPECT_GT(first_value_pushed, 0);
     EXPECT_GT(cluster_->metrics()
                   .GetCounter("pushdown.limit_short_circuits")
                   ->value(),
@@ -415,18 +436,40 @@ TEST_F(SqlDifferentialTest, CornerSchedule) {
       {"global-aggregate-no-groups",
        "SELECT sum(index) as a0, avg(sumHC) as a1, count(*) as a2 FROM %T%",
        "meters"},
+      // The 2015 group spans every partition of c-000000 and c-000001,
+      // and its first surviving row (vid 4) has null lat, index and
+      // long: first_value must keep those nulls over the later values.
+      {"first-value-null-first-row-across-partitions",
+       "SELECT SUBSTRING(date, 0, 4) as g0, first_value(lat) as a0, "
+       "first_value(index) as a1, first_value(city) as a2, "
+       "first_value(long) as a3, sum(index) as a4 FROM %T% WHERE vid >= 4 "
+       "GROUP BY SUBSTRING(date, 0, 4) ORDER BY SUBSTRING(date, 0, 4)",
+       "corner"},
+      {"first-value-monthly-per-meter",
+       "SELECT SUBSTRING(date, 0, 7) as g0, vid as g1, "
+       "first_value(lat) as a0, first_value(state) as a1, sum(index) as a2 "
+       "FROM %T% GROUP BY SUBSTRING(date, 0, 7), vid "
+       "ORDER BY SUBSTRING(date, 0, 7), vid",
+       "meters"},
   };
+  Counter* partial_aggs =
+      cluster_->metrics().GetCounter("pushdown.partial_aggs");
   for (const Corner& corner : corners) {
     SCOPED_TRACE(corner.name);
+    const int64_t partials_before = partial_aggs->value();
     CheckQuery(corner.sql, corner.dataset, /*seed=*/0);
+    if (std::string(corner.sql).find("first_value") != std::string::npos) {
+      EXPECT_GT(partial_aggs->value(), partials_before)
+          << "first_value corner was not pushed down";
+    }
   }
 }
 
 // A pushed filter types an int64 column the way the compute-side scan
 // does: "1.5" there is null, and integers past 2^53 compare exactly, not
 // as rounded doubles. A double literal reaches the storlet exactly, not
-// rounded to six digits. Each query must keep the same rows, pushdown on
-// or off.
+// rounded to six digits, and stays a double even when it is integral.
+// Each query must keep the same rows, pushdown on or off.
 TEST(PushdownTypingTest, NumericFiltersMatchThePlainScan) {
   SwiftConfig config;
   config.num_proxies = 1;
@@ -457,6 +500,10 @@ TEST(PushdownTypingTest, NumericFiltersMatchThePlainScan) {
       {"vid > 1", "c,d"},
       {"NOT (vid > 1)", "a,b"},
       {"vid > 9007199254740992", "d"},
+      // A double literal compares as a double on both sides, however
+      // integral it looks: 9007199254740993 rounds to the literal.
+      {"vid > 9007199254740992.0", ""},
+      {"vid <= 9007199254740992.0", "a,c,d"},
       {"v > 1234567.5", "b,c"},
   };
   for (const Case& c : cases) {

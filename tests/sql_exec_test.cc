@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/random.h"
 #include "sql/executor.h"
 #include "sql/expr_eval.h"
@@ -521,6 +524,146 @@ TEST(ExecutorBatchTest, ProcessBatchMatchesProcessRow) {
       EXPECT_EQ(result->ToCsv(), reference->ToCsv());
     }
   }
+}
+
+// The group fold (sql/group_fold.h) must equal the scalar oracle for
+// every key and aggregate type: ProcessBatch folds straight from the
+// column vectors when the plan's shape allows and materializes rows for
+// AccumulateRow otherwise, and either way the finalized table, the
+// rows_seen/rows_passed counts and the no-ORDER-BY group order equal
+// ProcessRow's.
+TEST(ExecutorBatchTest, GroupFoldMatchesProcessRow) {
+  Schema schema({{"k", ColumnType::kInt64},
+                 {"d", ColumnType::kDouble},
+                 {"s", ColumnType::kString},
+                 {"t", ColumnType::kString}});
+  const double kNan = std::nan("");
+  const Value ints[] = {Value::Null(),
+                        Value(std::numeric_limits<int64_t>::min()),
+                        Value(static_cast<int64_t>(-1)),
+                        Value(static_cast<int64_t>(0)),
+                        Value(std::numeric_limits<int64_t>::max())};
+  const Value doubles[] = {Value::Null(), Value(0.0),  Value(-0.0),
+                           Value(kNan),   Value(-kNan), Value(2.5),
+                           Value(-1e308)};
+  const Value strings[] = {Value::Null(), Value(std::string()),
+                           Value(std::string("a")),
+                           Value(std::string("2015-01-31 23:00")),
+                           Value(std::string("b\x1f"))};
+  Rng rng(2017);
+  std::vector<Row> rows;
+  for (int r = 0; r < 400; ++r) {
+    rows.push_back({ints[rng.NextIndex(5)], doubles[rng.NextIndex(7)],
+                    strings[rng.NextIndex(5)], strings[rng.NextIndex(5)]});
+  }
+  static const char* kQueries[] = {
+      // Fold shapes: bare keys of every type, substr keys, every
+      // aggregate over every column type, count(*).
+      "SELECT k, d, s, sum(k), min(k), max(k), count(k), avg(k), "
+      "first_value(k) FROM t GROUP BY k, d, s",
+      "SELECT d, sum(d), min(d), max(d), count(d), avg(d), first_value(d), "
+      "count(*) FROM t GROUP BY d",
+      "SELECT SUBSTRING(s, 0, 1), SUBSTRING(t, -3, 2), min(s), max(t), "
+      "count(s), first_value(s), first_value(t), sum(s) FROM t "
+      "GROUP BY SUBSTRING(s, 0, 1), SUBSTRING(t, -3, 2)",
+      "SELECT SUBSTRING(t, 6, 100), count(*), first_value(d) FROM t "
+      "WHERE k > -1 OR d > 0 GROUP BY SUBSTRING(t, 6, 100)",
+      "SELECT min(d), max(s), first_value(s), avg(d), count(*) FROM t",
+      // Fallback shapes: computed keys and aggregate inputs.
+      "SELECT k + 1, sum(k * 2), first_value(s) FROM t GROUP BY k + 1",
+      "SELECT s, sum(d * 2), count(*) FROM t GROUP BY s",
+      "SELECT SUBSTRING(s, k, 2), count(*) FROM t GROUP BY SUBSTRING(s, k, 2)",
+  };
+  for (const char* sql : kQueries) {
+    SCOPED_TRACE(sql);
+    auto stmt = ParseSql(sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status();
+    auto plan = PhysicalPlan::Create(*stmt, schema);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    std::vector<int> indices;
+    for (const std::string& name : (*plan)->required_columns()) {
+      indices.push_back(schema.IndexOf(name));
+    }
+    std::vector<Row> scan_rows;
+    for (const Row& row : rows) {
+      Row projected;
+      for (int idx : indices) {
+        projected.push_back(row[static_cast<size_t>(idx)]);
+      }
+      scan_rows.push_back(std::move(projected));
+    }
+    PartialResult row_partial;
+    for (const Row& row : scan_rows) {
+      (*plan)->ProcessRow(row, /*filters_already_applied=*/false,
+                          &row_partial);
+    }
+    PartialResult batch_partial;
+    for (size_t pos = 0; pos < scan_rows.size(); pos += 97) {
+      std::vector<Row> slice(
+          scan_rows.begin() + static_cast<std::ptrdiff_t>(pos),
+          scan_rows.begin() + static_cast<std::ptrdiff_t>(
+                                  std::min(pos + 97, scan_rows.size())));
+      (*plan)->ProcessBatch(
+          RecordBatch::FromRows((*plan)->scan_schema(), slice),
+          /*filters_already_applied=*/false, &batch_partial);
+    }
+    EXPECT_EQ(batch_partial.rows_seen, row_partial.rows_seen);
+    EXPECT_EQ(batch_partial.rows_passed, row_partial.rows_passed);
+    ASSERT_EQ(batch_partial.groups.size(), row_partial.groups.size());
+    auto want = row_partial.groups.begin();
+    for (const auto& [key, group] : batch_partial.groups) {
+      EXPECT_EQ(key, want->first);
+      EXPECT_EQ(SerializeGroupKey(group.key_values), key);
+      std::string got_states, want_states;
+      for (const AggState& state : group.states) state.EncodeTo(&got_states);
+      for (const AggState& state : want->second.states) {
+        state.EncodeTo(&want_states);
+      }
+      EXPECT_EQ(got_states, want_states) << "group " << key;
+      ++want;
+    }
+    auto a = (*plan)->Finalize(std::move(batch_partial));
+    auto b = (*plan)->Finalize(std::move(row_partial));
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a->ToCsv(), b->ToCsv());
+  }
+}
+
+// The one group-key encoder: SerializeGroupKey's bytes are pinned, and
+// each typed AppendGroupKey* call the fold makes reproduces them.
+TEST(GroupKeyEncoderTest, TypedEncoderReproducesSerializeGroupKey) {
+  const Row key = {Value::Null(),
+                   Value(std::numeric_limits<int64_t>::min()),
+                   Value(static_cast<int64_t>(42)),
+                   Value(1.5),
+                   Value(-0.0),
+                   Value(std::numeric_limits<double>::infinity()),
+                   Value(std::string()),
+                   Value(std::string("2015-01"))};
+  EXPECT_EQ(SerializeGroupKey(key),
+            std::string("n\x1f"
+                        "i-9223372036854775808\x1f"
+                        "i42\x1f"
+                        "d0x1.8p+0\x1f"
+                        "d-0x0p+0\x1f"
+                        "dinf\x1f"
+                        "s\x1f"
+                        "s2015-01\x1f"));
+  std::string typed;
+  AppendGroupKeyNull(&typed);
+  AppendGroupKeyInt64(std::numeric_limits<int64_t>::min(), &typed);
+  AppendGroupKeyInt64(42, &typed);
+  AppendGroupKeyDouble(1.5, &typed);
+  AppendGroupKeyDouble(-0.0, &typed);
+  AppendGroupKeyDouble(std::numeric_limits<double>::infinity(), &typed);
+  AppendGroupKeyString("", &typed);
+  AppendGroupKeyString("2015-01", &typed);
+  EXPECT_EQ(typed, SerializeGroupKey(key));
+  const double nan = std::nan("");
+  std::string nan_key;
+  AppendGroupKeyDouble(nan, &nan_key);
+  EXPECT_EQ(nan_key, SerializeGroupKey({Value(nan)}));
+  EXPECT_NE(nan_key, SerializeGroupKey({Value(-nan)}));
 }
 
 }  // namespace
