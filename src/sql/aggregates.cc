@@ -87,25 +87,6 @@ void AggState::Update(AggKind kind, const Value& v) {
   }
 }
 
-void AggState::UpdateString(AggKind kind, std::string_view v) {
-  switch (kind) {
-    case AggKind::kCount:
-      ++count_;
-      return;
-    case AggKind::kMin:
-    case AggKind::kMax:
-      // Value::Compare orders two strings by their bytes.
-      if (has_extreme_ && extreme_.type() == ValueType::kString) {
-        int cmp = v.compare(extreme_.AsString());
-        if (kind == AggKind::kMin ? cmp >= 0 : cmp <= 0) return;
-      }
-      break;
-    default:
-      break;
-  }
-  Update(kind, Value(v));
-}
-
 void AggState::Merge(AggKind kind, const AggState& other) {
   switch (kind) {
     case AggKind::kSum:

@@ -27,10 +27,6 @@ class AggState {
   // passes a non-null dummy per row.
   void Update(AggKind kind, const Value& v);
 
-  // Update(kind, Value(v)) for a non-null string input, without building
-  // the Value unless the state keeps it.
-  void UpdateString(AggKind kind, std::string_view v);
-
   // True when no further Update can change the state: a first_value
   // that already holds its row. The group fold skips such inputs
   // unparsed.

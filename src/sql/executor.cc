@@ -348,6 +348,27 @@ void PhysicalPlan::ProcessRow(const Row& row, bool filters_already_applied,
   AccumulateRow(row, partial);
 }
 
+namespace {
+
+// The fold reads each cell by the type the plan bound its column to. A
+// Parquet batch carries its object's own column types, which may differ
+// from the table's declared schema; such a batch takes the row path,
+// which reads every cell by its column's own type.
+bool FoldReadsBatch(const GroupFoldSpec& fold, const RecordBatch& batch) {
+  for (const FoldKey& key : fold.keys) {
+    if (batch.column(key.column).type() != key.type) return false;
+  }
+  for (const FoldAgg& agg : fold.aggs) {
+    if (agg.column >= 0 &&
+        batch.column(static_cast<size_t>(agg.column)).type() != agg.type) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 void PhysicalPlan::ProcessBatch(const RecordBatch& batch,
                                 bool filters_already_applied,
                                 PartialResult* partial) const {
@@ -362,7 +383,7 @@ void PhysicalPlan::ProcessBatch(const RecordBatch& batch,
     FilterBatch(*conjunct, batch, &selection);
   }
   partial->rows_passed += static_cast<int64_t>(selection.size());
-  if (fold_ != nullptr) {
+  if (fold_ != nullptr && FoldReadsBatch(*fold_, batch)) {
     struct BatchCells {
       const RecordBatch& batch;
       int64_t row = 0;

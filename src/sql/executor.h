@@ -88,12 +88,13 @@ class PhysicalPlan {
   void ProcessRow(const Row& row, bool filters_already_applied,
                   PartialResult* partial) const;
 
-  // Batch-native equivalent: feeds every row of `batch` (typed per
-  // scan_schema()). The WHERE conjuncts narrow a selection vector via
-  // the vectorized kernels in sql/batch_eval.h. When every group key and
-  // aggregate input is a bare column (or a substr key, or count(*)), the
-  // survivors fold straight from the column vectors (sql/group_fold.h);
-  // any other shape materializes them as rows for AccumulateRow.
+  // Batch-native equivalent: feeds every row of `batch` (its columns in
+  // scan_schema() order). The WHERE conjuncts narrow a selection vector
+  // via the vectorized kernels in sql/batch_eval.h. When every group key
+  // and aggregate input is a bare column (or a substr key, or count(*))
+  // whose batch type is the scan_schema() type, the survivors fold
+  // straight from the column vectors (sql/group_fold.h); any other shape
+  // or typing materializes them as rows for AccumulateRow.
   // Produces the exact PartialResult that per-row ProcessRow calls over
   // the same data would.
   void ProcessBatch(const RecordBatch& batch, bool filters_already_applied,

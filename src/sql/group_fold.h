@@ -108,11 +108,8 @@ class GroupFold {
         }
         case ColumnType::kString: {
           std::string_view v;
-          if (cells.String(column, &v)) {
-            state.UpdateString(agg.kind, v);
-          } else {
-            state.Update(agg.kind, Value());
-          }
+          state.Update(agg.kind,
+                       cells.String(column, &v) ? Value(v) : Value());
           break;
         }
       }

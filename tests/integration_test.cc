@@ -214,6 +214,45 @@ TEST_F(ScoopIntegrationTest, ParquetTableMatchesCsvResults) {
   EXPECT_EQ(pq_result->stats.partitions_pushdown, 0);
 }
 
+TEST_F(ScoopIntegrationTest, ParquetColumnsStoredAsOtherTypesThanDeclared) {
+  // A Parquet object's footer types its columns. A table declaring other
+  // types for them reads the stored values, with the results of a table
+  // that declares the stored types.
+  Schema stored = GridPocketGenerator::MeterSchema();
+  std::vector<Column> columns = stored.columns();
+  for (Column& column : columns) {
+    if (column.name == "vid") column.type = ColumnType::kDouble;
+    if (column.name == "sumHC") column.type = ColumnType::kInt64;
+    if (column.name == "city") column.type = ColumnType::kInt64;
+  }
+  ASSERT_TRUE(session_->client().CreateContainer("pqt").ok());
+  std::vector<Row> rows = generator_->MakeAllRows();
+  size_t half = rows.size() / 2;
+  ASSERT_TRUE(WriteParquetObject(&session_->client(), "pqt", "p0", stored,
+                                 {rows.begin(), rows.begin() + half})
+                  .ok());
+  ASSERT_TRUE(WriteParquetObject(&session_->client(), "pqt", "p1", stored,
+                                 {rows.begin() + half, rows.end()})
+                  .ok());
+  session_->RegisterParquetTable("pqStored", "pqt", "p", stored);
+  session_->RegisterParquetTable("pqDeclared", "pqt", "p",
+                                 Schema(std::move(columns)));
+
+  for (const char* sql :
+       {"SELECT city, sum(vid), min(vid), max(vid), first_value(vid), "
+        "count(*) FROM %s GROUP BY city ORDER BY city",
+        "SELECT vid, sum(sumHC), max(sumHC), first_value(city) FROM %s "
+        "GROUP BY vid ORDER BY vid"}) {
+    SCOPED_TRACE(sql);
+    auto want = session_->Sql(StrFormat(sql, "pqStored"));
+    ASSERT_TRUE(want.ok()) << want.status();
+    auto got = session_->Sql(StrFormat(sql, "pqDeclared"));
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_FALSE(got->table.rows.empty());
+    EXPECT_EQ(got->table.ToCsv(), want->table.ToCsv());
+  }
+}
+
 TEST_F(ScoopIntegrationTest, StorletRddInvokesFilterPerObject) {
   StorletParams params;
   params["schema"] = schema_.ToSpec();

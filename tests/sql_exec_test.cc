@@ -556,30 +556,44 @@ TEST(ExecutorBatchTest, GroupFoldMatchesProcessRow) {
     rows.push_back({ints[rng.NextIndex(5)], doubles[rng.NextIndex(7)],
                     strings[rng.NextIndex(5)], strings[rng.NextIndex(5)]});
   }
-  static const char* kQueries[] = {
+  // No query has a residual predicate or HAVING, so agg_pushdown() is
+  // set exactly when the plan compiled a group fold: it tells which path
+  // ProcessBatch took.
+  static const struct {
+    const char* sql;
+    bool folds;
+  } kQueries[] = {
       // Fold shapes: bare keys of every type, substr keys, every
       // aggregate over every column type, count(*).
-      "SELECT k, d, s, sum(k), min(k), max(k), count(k), avg(k), "
-      "first_value(k) FROM t GROUP BY k, d, s",
-      "SELECT d, sum(d), min(d), max(d), count(d), avg(d), first_value(d), "
-      "count(*) FROM t GROUP BY d",
-      "SELECT SUBSTRING(s, 0, 1), SUBSTRING(t, -3, 2), min(s), max(t), "
-      "count(s), first_value(s), first_value(t), sum(s) FROM t "
-      "GROUP BY SUBSTRING(s, 0, 1), SUBSTRING(t, -3, 2)",
-      "SELECT SUBSTRING(t, 6, 100), count(*), first_value(d) FROM t "
-      "WHERE k > -1 OR d > 0 GROUP BY SUBSTRING(t, 6, 100)",
-      "SELECT min(d), max(s), first_value(s), avg(d), count(*) FROM t",
+      {"SELECT k, d, s, sum(k), min(k), max(k), count(k), avg(k), "
+       "first_value(k) FROM t GROUP BY k, d, s",
+       true},
+      {"SELECT d, sum(d), min(d), max(d), count(d), avg(d), first_value(d), "
+       "count(*) FROM t GROUP BY d",
+       true},
+      {"SELECT SUBSTRING(s, 0, 1), SUBSTRING(t, 3, 2), min(s), max(t), "
+       "count(s), first_value(s), first_value(t), sum(s) FROM t "
+       "GROUP BY SUBSTRING(s, 0, 1), SUBSTRING(t, 3, 2)",
+       true},
+      {"SELECT SUBSTRING(t, 6, 100), count(*), first_value(d) FROM t "
+       "WHERE k > 0 OR d > 0 GROUP BY SUBSTRING(t, 6, 100)",
+       true},
+      {"SELECT min(d), max(s), first_value(s), avg(d), count(*) FROM t", true},
       // Fallback shapes: computed keys and aggregate inputs.
-      "SELECT k + 1, sum(k * 2), first_value(s) FROM t GROUP BY k + 1",
-      "SELECT s, sum(d * 2), count(*) FROM t GROUP BY s",
-      "SELECT SUBSTRING(s, k, 2), count(*) FROM t GROUP BY SUBSTRING(s, k, 2)",
+      {"SELECT k + 1, sum(k * 2), first_value(s) FROM t GROUP BY k + 1",
+       false},
+      {"SELECT s, sum(d * 2), count(*) FROM t GROUP BY s", false},
+      {"SELECT SUBSTRING(s, k, 2), count(*) FROM t "
+       "GROUP BY SUBSTRING(s, k, 2)",
+       false},
   };
-  for (const char* sql : kQueries) {
+  for (const auto& [sql, folds] : kQueries) {
     SCOPED_TRACE(sql);
     auto stmt = ParseSql(sql);
     ASSERT_TRUE(stmt.ok()) << stmt.status();
     auto plan = PhysicalPlan::Create(*stmt, schema);
     ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ((*plan)->agg_pushdown() != nullptr, folds);
     std::vector<int> indices;
     for (const std::string& name : (*plan)->required_columns()) {
       indices.push_back(schema.IndexOf(name));
