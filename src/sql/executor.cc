@@ -558,7 +558,10 @@ Result<ResultTable> PhysicalPlan::Finalize(PartialResult&& partial) const {
   table.rows.reserve(working.size());
   size_t visible = output_exprs_.size();
   for (Row& row : working) {
+    // Drop the hidden sort values and the slots they took: a caller may
+    // keep many result tables.
     row.resize(visible);
+    row.shrink_to_fit();
     table.rows.push_back(std::move(row));
   }
   return table;
