@@ -45,10 +45,6 @@ class ColumnVector {
   // well-typed rows round-trip exactly.
   void AppendValue(const Value& v);
 
-  // --- raw views for the vectorized kernels ----------------------------
-  const std::vector<int64_t>& int64_data() const { return ints_; }
-  const std::vector<double>& double_data() const { return doubles_; }
-
  private:
   void AppendValidity(bool valid);
 

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "columnar/column_vector.h"
@@ -54,6 +55,33 @@ class RecordBatch {
   Schema schema_;
   int64_t rows_ = 0;
   std::vector<std::shared_ptr<ColumnVector>> columns_;
+};
+
+// A batch's cells read by row for SourceFilter::MatchRows and GroupFold
+// (sql/): a cleared validity bit is null. A cell is read as its column
+// vector's type, so a caller reading by a schema first checks that the
+// batch's column types are the schema's.
+struct BatchCells {
+  const RecordBatch& batch;
+
+  bool Int64(uint32_t row, size_t column, int64_t* v) const {
+    const ColumnVector& col = batch.column(column);
+    if (col.is_null(row)) return false;
+    *v = col.Int64At(row);
+    return true;
+  }
+  bool Double(uint32_t row, size_t column, double* v) const {
+    const ColumnVector& col = batch.column(column);
+    if (col.is_null(row)) return false;
+    *v = col.DoubleAt(row);
+    return true;
+  }
+  bool String(uint32_t row, size_t column, std::string_view* v) const {
+    const ColumnVector& col = batch.column(column);
+    if (col.is_null(row)) return false;
+    *v = col.StringAt(row);
+    return true;
+  }
 };
 
 }  // namespace scoop

@@ -1,6 +1,5 @@
 #include "csv/agg_storlet.h"
 
-#include <cstdlib>
 #include <numeric>
 
 #include "common/strings.h"
@@ -27,16 +26,13 @@ Result<FoldKey> ResolveGroupSpec(const std::string& spec,
     if (parts.size() != 3) {
       return Status::InvalidArgument("aggstorlet: bad group spec: " + spec);
     }
-    char* end = nullptr;
-    std::string pos_str(parts[1]), len_str(parts[2]);
-    out.pos = std::strtoll(pos_str.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
+    Result<int64_t> pos = ParseInt64(parts[1]);
+    Result<int64_t> len = ParseInt64(parts[2]);
+    if (!pos.ok() || !len.ok()) {
       return Status::InvalidArgument("aggstorlet: bad group spec: " + spec);
     }
-    out.len = std::strtoll(len_str.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
-      return Status::InvalidArgument("aggstorlet: bad group spec: " + spec);
-    }
+    out.pos = *pos;
+    out.len = *len;
     out.is_substr = true;
     column = std::string(parts[0]);
   }
@@ -72,22 +68,6 @@ Result<FoldAgg> ResolveAgg(AggKind kind, std::string_view column,
   out.type = schema.column(static_cast<size_t>(out.column)).type;
   return out;
 }
-
-// One record's raw fields, typed on demand with the batch scan's parsers
-// (Value::FromField semantics: empty or unparseable is null).
-struct FieldCells {
-  const std::string_view* fields;
-  bool Int64(size_t column, int64_t* v) const {
-    return ParseInt64Field(fields[column], v);
-  }
-  bool Double(size_t column, double* v) const {
-    return ParseDoubleField(fields[column], v);
-  }
-  bool String(size_t column, std::string_view* v) const {
-    *v = fields[column];
-    return !v->empty();
-  }
-};
 
 }  // namespace
 
@@ -180,7 +160,6 @@ Status GroupAggStorlet::Invoke(StorletInputStream& input,
     SCOOP_ASSIGN_OR_RETURN(selection,
                            SourceFilter::Parse(selection_it->second));
   }
-  bool has_selection = !selection.IsTrue();
 
   // Groups in SerializeGroupKey order: sorted, deterministic output.
   GroupMap groups;
@@ -195,14 +174,10 @@ Status GroupAggStorlet::Invoke(StorletInputStream& input,
   while (batcher.Next(&raw)) {
     selected.resize(static_cast<size_t>(raw.num_rows));
     std::iota(selected.begin(), selected.end(), 0u);
-    if (has_selection) {
-      selection.MatchRows(raw.fields.data(), raw.num_fields, schema,
-                          &selected);
-    }
+    const RawFieldCells cells{raw.fields.data(), raw.num_fields};
+    selection.MatchRows(cells, schema, &selected);
     rows_in += static_cast<int64_t>(selected.size());
-    for (uint32_t r : selected) {
-      fold.Add(FieldCells{raw.fields.data() + r * raw.num_fields}, &groups);
-    }
+    for (uint32_t r : selected) fold.Add(cells, r, &groups);
   }
 
   if (partials_mode) {

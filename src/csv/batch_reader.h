@@ -53,6 +53,28 @@ inline bool ParseDoubleField(std::string_view field, double* out) {
   return true;
 }
 
+// Row-major raw CSV fields, `num_fields` per row, read as typed cells
+// for SourceFilter::MatchRows and GroupFold: a field types the way the
+// scan types it, and an empty or unparseable field is null.
+struct RawFieldCells {
+  const std::string_view* fields;
+  size_t num_fields;
+
+  std::string_view Field(uint32_t row, size_t column) const {
+    return fields[row * num_fields + column];
+  }
+  bool Int64(uint32_t row, size_t column, int64_t* v) const {
+    return ParseInt64Field(Field(row, column), v);
+  }
+  bool Double(uint32_t row, size_t column, double* v) const {
+    return ParseDoubleField(Field(row, column), v);
+  }
+  bool String(uint32_t row, size_t column, std::string_view* v) const {
+    *v = Field(row, column);
+    return !v->empty();
+  }
+};
+
 // Walks a fully-buffered window using the structural scan, yielding one
 // record at a time as unescaped field views. Blank lines are skipped,
 // trailing '\r' stripped, and records containing quotes take an

@@ -1,6 +1,5 @@
 #include "csv/csv_storlet.h"
 
-#include <cstdlib>
 #include <numeric>
 
 #include "common/strings.h"
@@ -42,7 +41,6 @@ Status CsvStorlet::Invoke(StorletInputStream& input,
     SCOOP_ASSIGN_OR_RETURN(selection,
                            SourceFilter::Parse(selection_it->second));
   }
-  bool has_selection = !selection.IsTrue();
 
   // LIMIT pushdown: stop after emitting this many selection-surviving
   // rows. Only valid when the driver needs a row *prefix* (no ORDER BY,
@@ -50,13 +48,12 @@ Status CsvStorlet::Invoke(StorletInputStream& input,
   int64_t limit = -1;
   auto limit_it = params.find("limit");
   if (limit_it != params.end() && !Trim(limit_it->second).empty()) {
-    std::string text(Trim(limit_it->second));
-    char* end = nullptr;
-    limit = std::strtoll(text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || limit < 0) {
+    Result<int64_t> parsed = ParseInt64(limit_it->second);
+    if (!parsed.ok() || *parsed < 0) {
       return Status::InvalidArgument("csvstorlet: bad 'limit' parameter: " +
-                                     text);
+                                     std::string(Trim(limit_it->second)));
     }
+    limit = *parsed;
   }
 
   // One structural scan per window, selection evaluated over whole
@@ -72,10 +69,8 @@ Status CsvStorlet::Invoke(StorletInputStream& input,
   while (!limit_hit && batcher.Next(&raw)) {
     selected.resize(static_cast<size_t>(raw.num_rows));
     std::iota(selected.begin(), selected.end(), 0u);
-    if (has_selection) {
-      selection.MatchRows(raw.fields.data(), raw.num_fields, schema,
-                          &selected);
-    }
+    selection.MatchRows(RawFieldCells{raw.fields.data(), raw.num_fields},
+                        schema, &selected);
     if (limit >= 0 &&
         static_cast<int64_t>(selected.size()) > limit - rows_out) {
       selected.resize(static_cast<size_t>(limit - rows_out));

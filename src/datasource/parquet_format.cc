@@ -422,7 +422,7 @@ bool ParquetCanSkip(const SourceFilter& filter, const Schema& schema,
 
   // A numeric literal takes the column's numeric type, except that a
   // non-integer literal on an int64 column compares as a double, as
-  // SourceFilter::MatchRows and sql/batch_eval.cc do.
+  // SourceFilter::MatchRows does at the store and in the driver.
   ColumnType lit_type = type == ColumnType::kString ? ColumnType::kDouble
                                                     : type;
   if (lit_type == ColumnType::kInt64 && !ParseInt64(filter.literal).ok()) {

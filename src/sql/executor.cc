@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/strings.h"
-#include "sql/batch_eval.h"
 #include "sql/expr_eval.h"
 #include "sql/parser.h"
 
@@ -336,89 +335,76 @@ void PhysicalPlan::ComputeAggPushdown() {
   agg_pushdown_ = std::move(spec);
 }
 
-void PhysicalPlan::ProcessRow(const Row& row, bool filters_already_applied,
-                              PartialResult* partial) const {
-  ++partial->rows_seen;
-  const auto& conjuncts =
-      filters_already_applied ? residual_conjuncts_ : all_conjuncts_;
-  for (const auto& conjunct : conjuncts) {
-    if (!EvalPredicate(*conjunct, row)) return;
-  }
-  ++partial->rows_passed;
-  AccumulateRow(row, partial);
-}
-
 namespace {
 
-// The fold reads each cell by the type the plan bound its column to. A
-// Parquet batch carries its object's own column types, which may differ
-// from the table's declared schema; such a batch takes the row path,
-// which reads every cell by its column's own type.
-bool FoldReadsBatch(const GroupFoldSpec& fold, const RecordBatch& batch) {
-  for (const FoldKey& key : fold.keys) {
-    if (batch.column(key.column).type() != key.type) return false;
-  }
-  for (const FoldAgg& agg : fold.aggs) {
-    if (agg.column >= 0 &&
-        batch.column(static_cast<size_t>(agg.column)).type() != agg.type) {
-      return false;
-    }
+bool AllHold(const std::vector<std::unique_ptr<Expr>>& conjuncts,
+             const Row& row) {
+  for (const auto& conjunct : conjuncts) {
+    if (!EvalPredicate(*conjunct, row)) return false;
   }
   return true;
 }
 
 }  // namespace
 
+void PhysicalPlan::ProcessRow(const Row& row, bool filters_already_applied,
+                              PartialResult* partial) const {
+  ++partial->rows_seen;
+  const auto& conjuncts =
+      filters_already_applied ? residual_conjuncts_ : all_conjuncts_;
+  if (!AllHold(conjuncts, row)) return;
+  ++partial->rows_passed;
+  AccumulateRow(row, partial);
+}
+
 void PhysicalPlan::ProcessBatch(const RecordBatch& batch,
                                 bool filters_already_applied,
                                 PartialResult* partial) const {
-  const int64_t n = batch.num_rows();
-  partial->rows_seen += n;
-  const auto& conjuncts =
-      filters_already_applied ? residual_conjuncts_ : all_conjuncts_;
-  std::vector<uint32_t> selection(static_cast<size_t>(n));
-  std::iota(selection.begin(), selection.end(), 0u);
-  for (const auto& conjunct : conjuncts) {
-    if (selection.empty()) break;
-    FilterBatch(*conjunct, batch, &selection);
+  // The filter kernel and the fold read each cell as the plan's type. A
+  // batch typed otherwise (a Parquet object's footer types its own
+  // columns, and nothing holds them to the table's declared schema) goes
+  // row by row through the scalar oracle, which reads every cell as it is.
+  bool typed_as_planned = batch.num_columns() == scan_schema_.size();
+  for (size_t c = 0; typed_as_planned && c < scan_schema_.size(); ++c) {
+    typed_as_planned = batch.column(c).type() == scan_schema_.column(c).type;
   }
-  partial->rows_passed += static_cast<int64_t>(selection.size());
-  if (fold_ != nullptr && FoldReadsBatch(*fold_, batch)) {
-    struct BatchCells {
-      const RecordBatch& batch;
-      int64_t row = 0;
-      bool Int64(size_t column, int64_t* v) const {
-        const ColumnVector& col = batch.column(column);
-        if (col.is_null(row)) return false;
-        *v = col.Int64At(row);
-        return true;
-      }
-      bool Double(size_t column, double* v) const {
-        const ColumnVector& col = batch.column(column);
-        if (col.is_null(row)) return false;
-        *v = col.DoubleAt(row);
-        return true;
-      }
-      bool String(size_t column, std::string_view* v) const {
-        const ColumnVector& col = batch.column(column);
-        if (col.is_null(row)) return false;
-        *v = col.StringAt(row);
-        return true;
-      }
-    };
-    GroupFold fold(*fold_);
-    BatchCells cells{batch};
-    for (uint32_t r : selection) {
-      cells.row = r;
-      fold.Add(cells, &partial->groups);
+  Row scratch;
+  if (!typed_as_planned) {
+    for (int64_t r = 0; r < batch.num_rows(); ++r) {
+      batch.ExtractRow(r, &scratch);
+      ProcessRow(scratch, filters_already_applied, partial);
     }
     return;
   }
-  Row scratch;
-  for (uint32_t r : selection) {
-    batch.ExtractRow(r, &scratch);
-    AccumulateRow(scratch, partial);
+
+  const int64_t n = batch.num_rows();
+  partial->rows_seen += n;
+  std::vector<uint32_t> selection(static_cast<size_t>(n));
+  std::iota(selection.begin(), selection.end(), 0u);
+  const BatchCells cells{batch};
+  if (!filters_already_applied) {
+    pushed_filter_.MatchRows(cells, scan_schema_, &selection);
   }
+  if (fold_ == nullptr) {
+    for (uint32_t r : selection) {
+      batch.ExtractRow(r, &scratch);
+      if (!AllHold(residual_conjuncts_, scratch)) continue;
+      ++partial->rows_passed;
+      AccumulateRow(scratch, partial);
+    }
+    return;
+  }
+  if (!residual_conjuncts_.empty()) {
+    size_t kept = 0;
+    for (uint32_t r : selection) {
+      batch.ExtractRow(r, &scratch);
+      if (AllHold(residual_conjuncts_, scratch)) selection[kept++] = r;
+    }
+    selection.resize(kept);
+  }
+  partial->rows_passed += static_cast<int64_t>(selection.size());
+  GroupFold fold(*fold_);
+  for (uint32_t r : selection) fold.Add(cells, r, &partial->groups);
 }
 
 void PhysicalPlan::AccumulateRow(const Row& row, PartialResult* partial) const {

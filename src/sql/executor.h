@@ -89,14 +89,16 @@ class PhysicalPlan {
                   PartialResult* partial) const;
 
   // Batch-native equivalent: feeds every row of `batch` (its columns in
-  // scan_schema() order). The WHERE conjuncts narrow a selection vector
-  // via the vectorized kernels in sql/batch_eval.h. When every group key
-  // and aggregate input is a bare column (or a substr key, or count(*))
-  // whose batch type is the scan_schema() type, the survivors fold
-  // straight from the column vectors (sql/group_fold.h); any other shape
-  // or typing materializes them as rows for AccumulateRow.
-  // Produces the exact PartialResult that per-row ProcessRow calls over
-  // the same data would.
+  // scan_schema() order). When the store did not apply it, the pushed
+  // filter narrows a selection vector through SourceFilter::MatchRows,
+  // the kernel the storlets run; only the residual conjuncts go to
+  // EvalPredicate, on extracted rows. When every group key and aggregate
+  // input is a bare column (or a substr key, or count(*)), the survivors
+  // fold straight from the column vectors (sql/group_fold.h); other
+  // shapes materialize them as rows for AccumulateRow. A batch whose
+  // column types differ from scan_schema()'s goes through ProcessRow row
+  // by row. Produces the exact PartialResult that per-row ProcessRow
+  // calls over the same data would.
   void ProcessBatch(const RecordBatch& batch, bool filters_already_applied,
                     PartialResult* partial) const;
 

@@ -22,8 +22,11 @@ Status BindExpr(Expr* expr, const Schema& schema);
 // Semantics (documented deviations from full SQL three-valued logic):
 //  * comparisons with a null operand evaluate to false (not UNKNOWN);
 //  * NOT is classical negation of that boolean;
-// identical semantics are implemented by SourceFilter::MatchRows at the
-// storage side, so pushed and residual evaluation always agree.
+// SourceFilter::MatchRows evaluates a pushed filter with the same
+// semantics, over raw fields at the store and over typed batches in the
+// driver, so the rows it keeps are the rows this keeps. It is the scalar
+// reference both are tested against; in ProcessBatch it runs only the
+// residual conjuncts.
 Value EvalExpr(const Expr& expr, const Row& row);
 
 // Truthiness of EvalExpr: non-null and non-zero.

@@ -51,29 +51,27 @@ struct GroupFoldSpec {
   std::vector<FoldAgg> aggs;
 };
 
-// Folds one row at a time into a GroupMap. `Cells` reads the row's typed
-// cells and reports null as false:
-//   bool Int64(size_t column, int64_t* v) const;
-//   bool Double(size_t column, double* v) const;
-//   bool String(size_t column, std::string_view* v) const;
-// Keys and states come out equal to what EvalExpr and AggState::Update
-// compute over the same row as a Row (PhysicalPlan::ProcessRow).
+// Folds one row at a time into a GroupMap. `Cells` is the row-indexed
+// cell reader SourceFilter::MatchRows takes (sql/source_filter.h), so
+// one reader per data form serves the filter and the fold. Keys and
+// states come out equal to what EvalExpr and AggState::Update compute
+// over the same row as a Row (PhysicalPlan::ProcessRow).
 class GroupFold {
  public:
   explicit GroupFold(const GroupFoldSpec& spec) : spec_(spec) {}
 
   template <typename Cells>
-  void Add(const Cells& cells, GroupMap* groups) {
+  void Add(const Cells& cells, uint32_t row, GroupMap* groups) {
     key_.clear();
     for (const FoldKey& key : spec_.keys) {
-      VisitKey(key, cells, [this](auto v) { Encode(v); });
+      VisitKey(key, cells, row, [this](auto v) { Encode(v); });
     }
     auto it = groups->lower_bound(std::string_view(key_));
     if (it == groups->end() || it->first != key_) {
       AggPartialGroup group;
       group.key_values.reserve(spec_.keys.size());
       for (const FoldKey& key : spec_.keys) {
-        VisitKey(key, cells, [&group](auto v) {
+        VisitKey(key, cells, row, [&group](auto v) {
           if constexpr (std::is_same_v<decltype(v), std::monostate>) {
             group.key_values.emplace_back();
           } else {
@@ -97,19 +95,20 @@ class GroupFold {
       switch (agg.type) {
         case ColumnType::kInt64: {
           int64_t v = 0;
-          state.Update(agg.kind, cells.Int64(column, &v) ? Value(v) : Value());
+          state.Update(agg.kind,
+                       cells.Int64(row, column, &v) ? Value(v) : Value());
           break;
         }
         case ColumnType::kDouble: {
           double v = 0;
           state.Update(agg.kind,
-                       cells.Double(column, &v) ? Value(v) : Value());
+                       cells.Double(row, column, &v) ? Value(v) : Value());
           break;
         }
         case ColumnType::kString: {
           std::string_view v;
           state.Update(agg.kind,
-                       cells.String(column, &v) ? Value(v) : Value());
+                       cells.String(row, column, &v) ? Value(v) : Value());
           break;
         }
       }
@@ -120,21 +119,22 @@ class GroupFold {
   // Calls `f` with the key's cell: std::monostate for null, otherwise an
   // int64_t, a double or a std::string_view (substr already applied).
   template <typename Cells, typename F>
-  static void VisitKey(const FoldKey& key, const Cells& cells, F&& f) {
+  static void VisitKey(const FoldKey& key, const Cells& cells, uint32_t row,
+                       F&& f) {
     switch (key.type) {
       case ColumnType::kInt64: {
         int64_t v = 0;
-        if (cells.Int64(key.column, &v)) return f(v);
+        if (cells.Int64(row, key.column, &v)) return f(v);
         break;
       }
       case ColumnType::kDouble: {
         double v = 0;
-        if (cells.Double(key.column, &v)) return f(v);
+        if (cells.Double(row, key.column, &v)) return f(v);
         break;
       }
       case ColumnType::kString: {
         std::string_view v;
-        if (cells.String(key.column, &v)) {
+        if (cells.String(row, key.column, &v)) {
           return f(key.is_substr ? SqlSubstringView(v, key.pos, key.len) : v);
         }
         break;

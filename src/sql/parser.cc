@@ -397,25 +397,32 @@ class Parser {
   Result<std::unique_ptr<Expr>> ParseUnary() {
     if (AtSymbol("-")) {
       Advance();
+      // A minus right before a number is the literal's sign: the catalyst
+      // can push `vid > -1`, and -9223372036854775808 is in range.
+      if (Peek().kind == TokenKind::kNumber) return ParseNumber("-");
       SCOOP_ASSIGN_OR_RETURN(std::unique_ptr<Expr> arg, ParseUnary());
       return Expr::Unary(UnaryOp::kNeg, std::move(arg));
     }
     return ParsePrimary();
   }
 
+  // Consumes the number token, with `sign` ("" or "-") before its text.
+  Result<std::unique_ptr<Expr>> ParseNumber(const std::string& sign) {
+    std::string text = sign + Peek().text;
+    Advance();
+    if (text.find('.') != std::string::npos) {
+      SCOOP_ASSIGN_OR_RETURN(double v, ParseDouble(text));
+      return Expr::Lit(Value(v));
+    }
+    SCOOP_ASSIGN_OR_RETURN(int64_t v, ParseInt64(text));
+    return Expr::Lit(Value(v));
+  }
+
   Result<std::unique_ptr<Expr>> ParsePrimary() {
     const Token& t = Peek();
     switch (t.kind) {
-      case TokenKind::kNumber: {
-        std::string text = t.text;
-        Advance();
-        if (text.find('.') != std::string::npos) {
-          SCOOP_ASSIGN_OR_RETURN(double v, ParseDouble(text));
-          return Expr::Lit(Value(v));
-        }
-        SCOOP_ASSIGN_OR_RETURN(int64_t v, ParseInt64(text));
-        return Expr::Lit(Value(v));
-      }
+      case TokenKind::kNumber:
+        return ParseNumber("");
       case TokenKind::kString: {
         std::string body = t.text;
         Advance();

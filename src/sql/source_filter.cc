@@ -280,152 +280,67 @@ Result<SourceFilter> SourceFilter::Parse(std::string_view text) {
   return filter;
 }
 
-namespace {
-
-template <typename T>
-int Cmp3(T a, T b) {
-  return a < b ? -1 : (a > b ? 1 : 0);
+SourceFilter::Leaf SourceFilter::ResolveLeaf(const Schema& schema) const {
+  Leaf leaf;
+  const int idx = schema.IndexOf(column);
+  if (idx < 0) return leaf;
+  leaf.column = static_cast<size_t>(idx);
+  leaf.type = schema.column(leaf.column).type;
+  const bool string_column = leaf.type == ColumnType::kString;
+  switch (op) {
+    case Op::kIsNull:
+      leaf.kind = Leaf::Kind::kIsNull;
+      return leaf;
+    case Op::kIsNotNull:
+      leaf.kind = Leaf::Kind::kIsNotNull;
+      return leaf;
+    case Op::kLike:
+      if (string_column) leaf.kind = Leaf::Kind::kLike;
+      return leaf;
+    default:
+      break;
+  }
+  // A number against a string column, or a string against a numeric one.
+  if (literal_is_number == string_column) return leaf;
+  if (string_column) {
+    leaf.kind = Leaf::Kind::kString;
+    return leaf;
+  }
+  Result<double> as_double = ParseDouble(literal);
+  if (!as_double.ok()) return leaf;  // an unparseable literal never matches
+  leaf.double_literal = *as_double;
+  leaf.kind = Leaf::Kind::kDouble;
+  if (leaf.type == ColumnType::kInt64) {
+    // A double would round integers past 2^53: compare exactly when the
+    // literal is an integer.
+    Result<int64_t> as_int = ParseInt64(literal);
+    if (as_int.ok()) {
+      leaf.kind = Leaf::Kind::kInt64;
+      leaf.int64_literal = *as_int;
+    } else {
+      leaf.kind = Leaf::Kind::kInt64AsDouble;
+    }
+  }
+  return leaf;
 }
 
-bool CompareMatches(SourceFilter::Op op, int cmp) {
+bool SourceFilter::Holds(int cmp) const {
   switch (op) {
-    case SourceFilter::Op::kEq:
+    case Op::kEq:
       return cmp == 0;
-    case SourceFilter::Op::kNe:
+    case Op::kNe:
       return cmp != 0;
-    case SourceFilter::Op::kLt:
+    case Op::kLt:
       return cmp < 0;
-    case SourceFilter::Op::kLe:
+    case Op::kLe:
       return cmp <= 0;
-    case SourceFilter::Op::kGt:
+    case Op::kGt:
       return cmp > 0;
-    case SourceFilter::Op::kGe:
+    case Op::kGe:
       return cmp >= 0;
     default:
       return false;
   }
-}
-
-// Sets mask[i] to whether row rows[i] matches `filter`, evaluated
-// structure-at-a-time over the candidate rows.
-void EvalFilterMask(const SourceFilter& filter, const std::string_view* fields,
-                    size_t num_fields, const Schema& schema,
-                    const std::vector<uint32_t>& rows,
-                    std::vector<char>* mask) {
-  switch (filter.op) {
-    case SourceFilter::Op::kTrue:
-      mask->assign(rows.size(), 1);
-      return;
-    case SourceFilter::Op::kAnd:
-    case SourceFilter::Op::kOr: {
-      const bool is_and = filter.op == SourceFilter::Op::kAnd;
-      mask->assign(rows.size(), is_and ? 1 : 0);
-      std::vector<char> child_mask;
-      for (const SourceFilter& child : filter.children) {
-        EvalFilterMask(child, fields, num_fields, schema, rows, &child_mask);
-        if (is_and) {
-          for (size_t i = 0; i < mask->size(); ++i) {
-            (*mask)[i] &= child_mask[i];
-          }
-        } else {
-          for (size_t i = 0; i < mask->size(); ++i) {
-            (*mask)[i] |= child_mask[i];
-          }
-        }
-      }
-      return;
-    }
-    case SourceFilter::Op::kNot:
-      EvalFilterMask(filter.children[0], fields, num_fields, schema, rows,
-                     mask);
-      for (char& m : *mask) m = !m;
-      return;
-    default:
-      break;
-  }
-
-  // Leaf: hoist the column lookup and literal parse out of the row loop.
-  mask->assign(rows.size(), 0);
-  int idx = schema.IndexOf(filter.column);
-  if (idx < 0 || static_cast<size_t>(idx) >= num_fields) return;
-  const size_t col = static_cast<size_t>(idx);
-
-  if (filter.op == SourceFilter::Op::kIsNull ||
-      filter.op == SourceFilter::Op::kIsNotNull) {
-    const bool want_empty = filter.op == SourceFilter::Op::kIsNull;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      (*mask)[i] = fields[rows[i] * num_fields + col].empty() == want_empty;
-    }
-    return;
-  }
-  if (filter.op == SourceFilter::Op::kLike) {
-    for (size_t i = 0; i < rows.size(); ++i) {
-      std::string_view field = fields[rows[i] * num_fields + col];
-      (*mask)[i] = !field.empty() && LikeMatch(field, filter.literal);
-    }
-    return;
-  }
-  if (filter.literal_is_number) {
-    auto lit_num = ParseDouble(filter.literal);
-    if (!lit_num.ok()) return;  // unparseable literal never matches
-    double lit = *lit_num;
-    if (schema.column(col).type == ColumnType::kInt64) {
-      // Type the field the way the compute-side scan does
-      // (csv/batch_reader.cc): an integer parse, anything else is null.
-      // Compare exactly against an integral literal and as doubles
-      // against any other, like sql/batch_eval.cc: a double would round
-      // integers past 2^53.
-      Result<int64_t> lit_int = ParseInt64(filter.literal);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        std::string_view field = fields[rows[i] * num_fields + col];
-        if (field.empty()) continue;
-        int64_t field_int;
-        if (!FastParseInt64(field, &field_int)) {
-          Result<int64_t> parsed = ParseInt64(field);
-          if (!parsed.ok()) continue;
-          field_int = *parsed;
-        }
-        int cmp = lit_int.ok() ? Cmp3(field_int, *lit_int)
-                               : Cmp3(static_cast<double>(field_int), lit);
-        (*mask)[i] = CompareMatches(filter.op, cmp);
-      }
-      return;
-    }
-    for (size_t i = 0; i < rows.size(); ++i) {
-      std::string_view field = fields[rows[i] * num_fields + col];
-      if (field.empty()) continue;
-      double field_num;
-      if (!FastParseDouble(field, &field_num)) {
-        auto parsed = ParseDouble(field);
-        if (!parsed.ok()) continue;
-        field_num = *parsed;
-      }
-      (*mask)[i] = CompareMatches(filter.op, Cmp3(field_num, lit));
-    }
-    return;
-  }
-  for (size_t i = 0; i < rows.size(); ++i) {
-    std::string_view field = fields[rows[i] * num_fields + col];
-    if (field.empty()) continue;
-    int cmp = field.compare(filter.literal);
-    cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-    (*mask)[i] = CompareMatches(filter.op, cmp);
-  }
-}
-
-}  // namespace
-
-void SourceFilter::MatchRows(const std::string_view* fields, size_t num_fields,
-                             const Schema& schema,
-                             std::vector<uint32_t>* selection) const {
-  if (op == Op::kTrue || selection->empty()) return;
-  std::vector<char> mask;
-  EvalFilterMask(*this, fields, num_fields, schema, *selection, &mask);
-  size_t out = 0;
-  for (size_t i = 0; i < selection->size(); ++i) {
-    if (mask[i]) (*selection)[out++] = (*selection)[i];
-  }
-  selection->resize(out);
 }
 
 void SourceFilter::CollectColumns(std::set<std::string>* out) const {

@@ -1,5 +1,6 @@
 #include "workload/selectivity.h"
 
+#include "csv/batch_reader.h"
 #include "csv/record_reader.h"
 #include "sql/executor.h"
 #include "sql/expr_eval.h"
@@ -50,8 +51,8 @@ Result<SelectivityReport> MeasureSelectivity(const std::string& sql,
 
     // Row filter: the real pushed filter + residual conjuncts.
     selected.assign(1, 0);
-    plan->pushed_filter().MatchRows(fields.data(), fields.size(), schema,
-                                    &selected);
+    plan->pushed_filter().MatchRows(RawFieldCells{fields.data(), fields.size()},
+                                    schema, &selected);
     bool passes = !selected.empty();
     if (passes) {
       scan_row.clear();

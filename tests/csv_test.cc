@@ -304,6 +304,18 @@ TEST_F(CsvStorletTest, BadSelectionFails) {
       Run(data_, {{"schema", schema_spec_}, {"selection", "(bogus"}}).ok());
 }
 
+TEST_F(CsvStorletTest, LimitMustBeANonNegativeInteger) {
+  auto out = Run(data_, {{"schema", schema_spec_}, {"limit", " 2 "}});
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(*out, "1,Paris,10.5\n2,Rotterdam,20.0\n");
+  // Out-of-range text is refused, not clamped to INT64_MAX.
+  for (const char* limit : {"-1", "x", "2x", "99999999999999999999"}) {
+    auto bad = Run(data_, {{"schema", schema_spec_}, {"limit", limit}});
+    ASSERT_FALSE(bad.ok()) << limit;
+    EXPECT_TRUE(bad.status().IsInvalidArgument()) << limit;
+  }
+}
+
 TEST_F(CsvStorletTest, MalformedRowsDroppedWhenFiltering) {
   std::string data = "1,Paris,1.0\nbroken\n2,Nice,2.0\n";
   auto out = Run(data, {{"schema", schema_spec_}, {"projection", "vid"}});

@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "csv/batch_reader.h"
 #include "datasource/csv_source.h"
 #include "datasource/parquet_source.h"
 #include "datasource/partitioner.h"
@@ -237,7 +238,8 @@ TEST_F(DatasourceTest, CsvSourcePushdownAndPlainAgree) {
     for (const Value& v : row) rendered.push_back(v.ToString());
     for (const std::string& s : rendered) views.push_back(s);
     std::vector<uint32_t> selected = {0};
-    filter->MatchRows(views.data(), views.size(), pruned, &selected);
+    filter->MatchRows(RawFieldCells{views.data(), views.size()}, pruned,
+                      &selected);
     if (!selected.empty()) expected.push_back(row);
   }
   ASSERT_EQ(filtered->size(), expected.size());

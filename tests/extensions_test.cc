@@ -126,6 +126,23 @@ TEST_F(AggStorletTest, ValidatesParameters) {
   EXPECT_FALSE(
       Run(data_, {{"schema", schema_}, {"group", "ghost"}, {"aggs", "count:*"}})
           .ok());
+  // A substr key's position and length are integers: empty or
+  // out-of-range text is refused, not read as 0 or clamped.
+  auto substr_group = [&](const char* group) {
+    return Run(data_, {{"schema", schema_},
+                       {"output", "partials"},
+                       {"group", group},
+                       {"aggs", "count:*"}});
+  };
+  EXPECT_TRUE(substr_group("substr(city,0,3)").ok());
+  for (const char* group :
+       {"substr(city,,7)", "substr(city,0,)", "substr(city,x,2)",
+        "substr(city,0,99999999999999999999)",
+        "substr(city,-99999999999999999999,2)"}) {
+    auto out = substr_group(group);
+    ASSERT_FALSE(out.ok()) << group;
+    EXPECT_TRUE(out.status().IsInvalidArgument()) << group;
+  }
 }
 
 TEST_F(AggStorletTest, PartialsMergeAcrossRanges) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "columnar/record_batch.h"
 #include "common/random.h"
+#include "csv/batch_reader.h"
 #include "sql/catalyst.h"
 #include "sql/expr_eval.h"
 #include "sql/parser.h"
@@ -16,13 +18,24 @@ Schema TestSchema() {
                  {"date", ColumnType::kString}});
 }
 
-// Evaluates `filter` on one record through MatchRows, the evaluator the
-// storlets run.
+// Evaluates `filter` on one record of raw fields through MatchRows, as
+// the storlets run it.
 bool MatchesOne(const SourceFilter& filter,
                 const std::vector<std::string_view>& fields,
                 const Schema& schema) {
   std::vector<uint32_t> selected = {0};
-  filter.MatchRows(fields.data(), fields.size(), schema, &selected);
+  filter.MatchRows(RawFieldCells{fields.data(), fields.size()}, schema,
+                   &selected);
+  return !selected.empty();
+}
+
+// The same kernel over a typed row's column vectors, as
+// PhysicalPlan::ProcessBatch runs it.
+bool MatchesTyped(const SourceFilter& filter, const Row& row,
+                  const Schema& schema) {
+  RecordBatch batch = RecordBatch::FromRows(schema, {row});
+  std::vector<uint32_t> selected = {0};
+  filter.MatchRows(BatchCells{batch}, schema, &selected);
   return !selected.empty();
 }
 
@@ -159,6 +172,14 @@ TEST(CatalystTest, ConvertsPushableShapes) {
   EXPECT_EQ(convert("city = 'a' OR city = 'b'"),
             "(or (eq city \"a\") (eq city \"b\"))");
   EXPECT_EQ(convert("load <= 1.5"), "(le load 1.5)");
+  // Negated literals push like any other.
+  EXPECT_EQ(convert("vid > -1"), "(gt vid -1)");
+  EXPECT_EQ(convert("-1 < vid"), "(gt vid -1)");
+  EXPECT_EQ(convert("vid >= -9223372036854775808"),
+            "(ge vid -9223372036854775808)");
+  EXPECT_EQ(convert("load > -2.5"), "(gt load -2.5)");
+  EXPECT_EQ(convert("load >= -0.0"), "(ge load -0.0)");
+  EXPECT_EQ(convert("load < -3.0"), "(lt load -3.0)");
 }
 
 TEST(CatalystTest, LeavesUnpushableShapesResidual) {
@@ -177,6 +198,7 @@ TEST(CatalystTest, LeavesUnpushableShapesResidual) {
   EXPECT_TRUE(rejected("city = null"));            // null literal
   EXPECT_TRUE(rejected("ghost = 1"));              // unknown column
   EXPECT_TRUE(rejected("vid = 1 OR load / 2 > 1"));  // partial OR
+  EXPECT_TRUE(rejected("-vid > 1"));               // negated column
 }
 
 TEST(CatalystTest, ExtractionSplitsWhere) {
@@ -236,6 +258,8 @@ TEST(CatalystTest, PushesDesugaredPostfixForms) {
   };
   check("SELECT vid FROM t WHERE vid BETWEEN 2 AND 8",
         "(and (ge vid 2) (le vid 8))");
+  check("SELECT vid FROM t WHERE vid BETWEEN -10 AND 3068",
+        "(and (ge vid -10) (le vid 3068))");
   check("SELECT vid FROM t WHERE city IN ('Paris', 'Nice')",
         "(or (eq city \"Paris\") (eq city \"Nice\"))");
   check("SELECT vid FROM t WHERE city IS NOT NULL", "(notnull city)");
@@ -254,64 +278,107 @@ TEST(CatalystTest, IsNullOnNumericColumnStaysResidual) {
   EXPECT_EQ(extraction->residual_conjuncts.size(), 1u);
 }
 
-// Property: storage-side SourceFilter::MatchRows on raw fields and
-// compute-side expression evaluation on typed rows agree on every pushable
-// predicate the generator produces.
+// Property: the pushed-filter kernel over both of its readers (raw CSV
+// fields, the storlets'; typed column vectors, ProcessBatch's) and
+// compute-side EvalPredicate over the typed row agree on every pushable
+// predicate the generator produces. Fields and literals cover the
+// corners where typing matters: int64 min/max, integers past 2^53
+// against integral and double literals, NaN and -0.0, negated literals
+// and unparseable numbers. A typed batch can also hold a non-null empty
+// string, which raw fields cannot; the typed side alone is checked
+// against EvalPredicate on it.
 TEST(FilterConsistencyProperty, StoreAndComputeAgree) {
   Rng rng(99);
   Schema schema = TestSchema();
   const char* cities[] = {"Paris", "Rotterdam", "Nice", ""};
-  for (int iter = 0; iter < 200; ++iter) {
+  const std::vector<std::string> vids = {
+      "-9223372036854775808", "9223372036854775807", "9007199254740993", "7x",
+  };
+  const std::vector<std::string> loads = {
+      "NaN", "-0.0", "9007199254740993", "1e308",
+  };
+  const std::vector<std::string> corner_predicates = {
+      // Integers past 2^53, against integer and double literals.
+      "vid > 9007199254740992", "vid = 9007199254740993",
+      "vid > 9007199254740992.0", "vid <= 9007199254740992.0",
+      // INT64_MIN and INT64_MAX, and a range from a negated literal.
+      "vid >= -9223372036854775808", "vid = -9223372036854775808",
+      "vid < 9223372036854775807", "vid <> 9223372036854775807",
+      "vid BETWEEN -10 AND 5",
+      // Against NaN, -0.0 and a double past 2^53.
+      "load = 0", "load >= -0.0", "load <> 0", "load < 9007199254740993",
+      "load > -2.5",
+      // Null and empty strings.
+      "city IS NULL", "city IS NOT NULL", "city = ''", "city < 'P'",
+      "city LIKE '%'",
+  };
+  auto leaf = [&]() -> std::string {
+    switch (rng.NextBounded(8)) {
+      case 0:
+        return "vid >= " + std::to_string(rng.NextInt(-3, 20));
+      case 1:
+        return "load < " + std::to_string(rng.NextInt(-3, 50));
+      case 2:
+        return std::string("city = '") + cities[rng.NextIndex(3)] + "'";
+      case 3:
+        return "date LIKE '2015-0" + std::to_string(rng.NextInt(1, 9)) + "%'";
+      case 4:
+        return "NOT vid = " + std::to_string(rng.NextInt(0, 20));
+      case 5:
+        return "vid > -" + std::to_string(rng.NextInt(0, 3));
+      default:
+        return corner_predicates[rng.NextIndex(corner_predicates.size())];
+    }
+  };
+  for (int iter = 0; iter < 2000; ++iter) {
     // Random row (as raw CSV fields).
-    std::string vid = rng.NextBool(0.1)
-                          ? ""
-                          : std::to_string(rng.NextInt(0, 20));
+    std::string vid = std::to_string(rng.NextInt(-3, 20));
     std::string city = cities[rng.NextIndex(4)];
-    std::string load = rng.NextBool(0.1)
-                           ? ""
-                           : std::to_string(rng.NextInt(0, 50)) + ".5";
+    std::string load = std::to_string(rng.NextInt(-3, 50)) + ".5";
+    if (rng.NextBool(0.4)) vid = vids[rng.NextIndex(vids.size())];
+    if (rng.NextBool(0.4)) load = loads[rng.NextIndex(loads.size())];
+    if (rng.NextBool(0.1)) vid.clear();
+    if (rng.NextBool(0.1)) load.clear();
     std::string date = "2015-0" + std::to_string(rng.NextInt(1, 9)) + "-11";
     std::vector<std::string_view> fields = {vid, city, load, date};
 
-    // Random pushable predicate.
-    std::string text;
-    switch (rng.NextBounded(6)) {
+    // Random pushable predicate: a leaf, or two joined.
+    std::string text = leaf();
+    switch (rng.NextBounded(4)) {
       case 0:
-        text = "vid >= " + std::to_string(rng.NextInt(0, 20));
+        text = "(" + text + ") AND (" + leaf() + ")";
         break;
       case 1:
-        text = "load < " + std::to_string(rng.NextInt(0, 50));
+        text = "(" + text + ") OR (" + leaf() + ")";
         break;
       case 2:
-        text = std::string("city = '") + cities[rng.NextIndex(3)] + "'";
-        break;
-      case 3:
-        text = "date LIKE '2015-0" + std::to_string(rng.NextInt(1, 9)) + "%'";
-        break;
-      case 4:
-        text = "NOT vid = " + std::to_string(rng.NextInt(0, 20));
+        text = "NOT (" + text + ")";
         break;
       default:
-        text = "vid > 3 AND city LIKE 'R%'";
         break;
     }
     auto expr = ParseExpression(text);
     ASSERT_TRUE(expr.ok()) << text;
     SourceFilter filter;
     ASSERT_TRUE(TryConvertToSourceFilter(**expr, schema, &filter)) << text;
-
-    bool store_side = MatchesOne(filter, fields, schema);
+    ASSERT_TRUE(BindExpr(expr->get(), schema).ok());
 
     Row typed;
     for (size_t i = 0; i < fields.size(); ++i) {
       typed.push_back(Value::FromField(fields[i], schema.column(i).type));
     }
-    ASSERT_TRUE(BindExpr(expr->get(), schema).ok());
-    bool compute_side = EvalPredicate(**expr, typed);
+    const bool compute_side = EvalPredicate(**expr, typed);
+    const std::string where = "predicate=" + text + " row=[" + vid + "," +
+                              city + "," + load + "," + date + "]";
+    EXPECT_EQ(MatchesOne(filter, fields, schema), compute_side) << where;
+    EXPECT_EQ(MatchesTyped(filter, typed, schema), compute_side) << where;
 
-    EXPECT_EQ(store_side, compute_side)
-        << "predicate=" << text << " row=[" << vid << "," << city << ","
-        << load << "," << date << "]";
+    if (city.empty()) {
+      typed[1] = Value(std::string());
+      EXPECT_EQ(MatchesTyped(filter, typed, schema),
+                EvalPredicate(**expr, typed))
+          << where << " (city a non-null empty string)";
+    }
   }
 }
 

@@ -334,10 +334,7 @@ FuzzQuery GenerateQuery(uint64_t seed) {
   // probability it rides along.
   if (pick(8) == 0) {
     select += ", first_value(city) as fv";
-    // "BETWEEN -10 AND n" stays residual too: the planner pushes no
-    // negated literal.
-    out.pushes_first_value = !add_residual && !with_having &&
-                             where.find("-10") == std::string::npos;
+    out.pushes_first_value = !add_residual && !with_having;
   }
 
   out.sql = "SELECT " + select + " FROM %T%" + where;
@@ -484,7 +481,8 @@ TEST(PushdownTypingTest, NumericFiltersMatchThePlainScan) {
                        /*num_workers=*/1);
   ASSERT_TRUE(session.client().CreateContainer("ids").ok());
   const std::string csv =
-      "1,a,1234567\n1.5,b,1234568\n2,c,1234571\n9007199254740993,d,0\n";
+      "1,a,1234567\n1.5,b,1234568\n2,c,1234571\n9007199254740993,d,0\n"
+      "-9223372036854775808,e,0\n";
   ASSERT_TRUE(session.client().PutObject("ids", "i-0", csv, {}).ok());
   auto schema = Schema::FromSpec("vid:int64,name:string,v:double");
   ASSERT_TRUE(schema.ok()) << schema.status();
@@ -498,13 +496,17 @@ TEST(PushdownTypingTest, NumericFiltersMatchThePlainScan) {
   };
   const Case cases[] = {
       {"vid > 1", "c,d"},
-      {"NOT (vid > 1)", "a,b"},
+      {"NOT (vid > 1)", "a,b,e"},
       {"vid > 9007199254740992", "d"},
       // A double literal compares as a double on both sides, however
       // integral it looks: 9007199254740993 rounds to the literal.
       {"vid > 9007199254740992.0", ""},
-      {"vid <= 9007199254740992.0", "a,c,d"},
+      {"vid <= 9007199254740992.0", "a,c,d,e"},
       {"v > 1234567.5", "b,c"},
+      // A negated literal is pushed, INT64_MIN included.
+      {"vid > -1", "a,c,d"},
+      {"vid > -9223372036854775808", "a,c,d"},
+      {"vid = -9223372036854775808", "e"},
   };
   for (const Case& c : cases) {
     for (const char* table : {"idsPush", "idsPlain"}) {

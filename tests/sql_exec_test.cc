@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/random.h"
+#include "csv/batch_reader.h"
 #include "sql/executor.h"
 #include "sql/expr_eval.h"
 #include "sql/parser.h"
@@ -424,8 +425,8 @@ TEST(ExecutorPropertyTest, PushedPlusResidualEqualsFullWhere) {
       for (const std::string& s : rendered) views.push_back(s);
       Schema scan = (*plan)->scan_schema();
       std::vector<uint32_t> selected = {0};
-      (*plan)->pushed_filter().MatchRows(views.data(), views.size(), scan,
-                                         &selected);
+      (*plan)->pushed_filter().MatchRows(
+          RawFieldCells{views.data(), views.size()}, scan, &selected);
       if (!selected.empty()) {
         (*plan)->ProcessRow(projected, true, &split);
       }

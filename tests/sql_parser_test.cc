@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sql/parser.h"
 #include "workload/queries.h"
 
@@ -94,9 +96,25 @@ TEST(ParserTest, NumericLiterals) {
   auto b = ParseExpression("4.25");
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ((*b)->literal.AsDoubleExact(), 4.25);
+  // A minus before a number is the literal's sign, so INT64_MIN parses;
+  // before anything else it negates.
   auto c = ParseExpression("-7");
   ASSERT_TRUE(c.ok());
-  EXPECT_EQ((*c)->kind, Expr::Kind::kUnary);
+  ASSERT_EQ((*c)->kind, Expr::Kind::kLiteral);
+  EXPECT_EQ((*c)->literal.AsInt64(), -7);
+  auto d = ParseExpression("-9223372036854775808");
+  ASSERT_TRUE(d.ok()) << d.status();
+  EXPECT_EQ((*d)->literal.AsInt64(), std::numeric_limits<int64_t>::min());
+  auto e = ParseExpression("-0.5");
+  ASSERT_TRUE(e.ok());
+  EXPECT_DOUBLE_EQ((*e)->literal.AsDoubleExact(), -0.5);
+  EXPECT_FALSE(ParseExpression("-9223372036854775809").ok());
+  auto f = ParseExpression("-vid");
+  ASSERT_TRUE(f.ok());
+  EXPECT_EQ((*f)->kind, Expr::Kind::kUnary);
+  auto g = ParseExpression("3 - -2");
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ((*g)->ToString(), "(3 - -2)");
 }
 
 TEST(ParserTest, NullLiteral) {
