@@ -1,11 +1,11 @@
 // Micro-benchmarks (google-benchmark) of the hot code paths behind the
 // figure-scale results: LIKE matching, CSV parsing, the CSVStorlet in its
 // row-discard / column-projection / mixed modes (the mechanism behind the
-// Fig. 5 row-vs-column gap), ring lookups, the LZ codec, the parquet-like
-// codec, the object server's chunk hashing, SQL parsing/planning, the
-// group fold behind aggregate pushdown and driver aggregation, and a
-// chunk-size ablation of the real end-to-end query path (§VII's
-// partitioning discussion).
+// Fig. 5 row-vs-column gap), the ETL upload storlet, ring lookups, the LZ
+// codec, the parquet-like codec, the object server's chunk hashing, SQL
+// parsing/planning, the group fold behind aggregate pushdown and driver
+// aggregation, and a chunk-size ablation of the real end-to-end query path
+// (§VII's partitioning discussion).
 #include <benchmark/benchmark.h>
 
 #include "common/bytestream.h"
@@ -13,6 +13,7 @@
 #include "csv/agg_storlet.h"
 #include "csv/batch_reader.h"
 #include "csv/csv_storlet.h"
+#include "csv/etl_storlet.h"
 #include "csv/record_reader.h"
 #include "common/lz.h"
 #include "datasource/parquet_format.h"
@@ -86,14 +87,14 @@ void BM_CsvBatchParse(benchmark::State& state) {
 }
 BENCHMARK(BM_CsvBatchParse);
 
-// The CSVStorlet in its three Fig. 5 modes. Each iteration streams the
-// one shared input buffer without copying it.
-void RunStorletBenchmark(benchmark::State& state, StorletParams params) {
-  auto csv = std::make_shared<const std::string>(SampleCsv(20000));
+// Runs `storlet` over `csv` once per iteration, streaming the one shared
+// input buffer without copying it; reports the input rate.
+void RunStorletBenchmark(benchmark::State& state, Storlet& storlet,
+                         std::shared_ptr<const std::string> csv,
+                         StorletParams params) {
   params["schema"] = GridPocketGenerator::MeterSchema().ToSpec();
   std::string output;
   for (auto _ : state) {
-    CsvStorlet storlet;
     SharedBufferByteStream source(csv, *csv);
     StorletInputStream in(&source);
     output.clear();
@@ -107,6 +108,14 @@ void RunStorletBenchmark(benchmark::State& state, StorletParams params) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(csv->size()));
+}
+
+// The CSVStorlet in its three Fig. 5 modes.
+void RunStorletBenchmark(benchmark::State& state, StorletParams params) {
+  CsvStorlet storlet;
+  RunStorletBenchmark(
+      state, storlet, std::make_shared<const std::string>(SampleCsv(20000)),
+      std::move(params));
 }
 
 void BM_CsvStorletRowDiscard(benchmark::State& state) {
@@ -131,6 +140,32 @@ void BM_CsvStorletIdentity(benchmark::State& state) {
   RunStorletBenchmark(state, {});
 }
 BENCHMARK(BM_CsvStorletIdentity);
+
+// The ETL upload storlet with `schema` alone. Arg 0 is the clean sample,
+// whose records pass through as their own bytes; arg 1 pads every field
+// with a space on each side, so trim re-renders every record.
+void BM_EtlStorlet(benchmark::State& state) {
+  std::string csv = SampleCsv(20000);
+  if (state.range(0) == 1) {
+    std::string padded = " ";
+    for (char c : csv) {
+      if (c == ',' || c == '\n') {
+        padded += ' ';
+        padded += c;
+        padded += ' ';
+      } else {
+        padded += c;
+      }
+    }
+    padded.pop_back();  // no field follows the final newline
+    csv = std::move(padded);
+  }
+  EtlStorlet storlet;
+  RunStorletBenchmark(state, storlet,
+                      std::make_shared<const std::string>(std::move(csv)),
+                      {});
+}
+BENCHMARK(BM_EtlStorlet)->Arg(0)->Arg(1);
 
 void BM_RingLookup(benchmark::State& state) {
   std::vector<RingDevice> devices;

@@ -42,8 +42,8 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
 std::string_view Trim(std::string_view s) {
   size_t b = 0;
   size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && IsSpace(s[b])) ++b;
+  while (e > b && IsSpace(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 

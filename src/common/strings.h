@@ -19,6 +19,10 @@ std::vector<std::string> SplitCopy(std::string_view input, char sep);
 // Joins `parts` with `sep` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
+// ASCII whitespace, as std::isspace reads it in the "C" locale: ' ',
+// '\t', '\n', '\v', '\f' and '\r'.
+inline bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
 // Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
 

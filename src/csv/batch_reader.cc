@@ -41,8 +41,16 @@ void AppendField(std::string_view field, ColumnType type, ColumnVector* col) {
 
 }  // namespace
 
-CsvRecordCursor::CsvRecordCursor(std::string_view data) : data_(data) {
+void CsvRecordCursor::Reset(std::string_view data) {
+  data_ = data;
+  structural_.clear();
   ScanCsvStructural(data_.data(), data_.size(), &structural_);
+  token_ = 0;
+  pos_ = 0;
+  record_ = std::string_view();
+  quoted_ = false;
+  fields_.clear();
+  owned_.clear();
 }
 
 void CsvRecordCursor::ParseQuoted(std::string_view line) {
@@ -110,6 +118,7 @@ bool CsvRecordCursor::Advance() {
     if (end > start && data_[end - 1] == '\r') --end;
     if (end == start) continue;  // blank line, skipped like the row readers
     record_ = data_.substr(start, end - start);
+    quoted_ = has_quote;
     if (has_quote) {
       ParseQuoted(record_);
     } else {
@@ -155,65 +164,61 @@ bool CsvBatchReader::Next(RecordBatch* batch) {
   return true;
 }
 
-CsvStreamBatcher::CsvStreamBatcher(StorletInputStream* input,
-                                   size_t num_fields, CsvBatchOptions options)
-    : input_(input), num_fields_(num_fields), options_(options) {
-  if (options_.window_bytes == 0) options_.window_bytes = 1;
-}
+CsvWindowStream::CsvWindowStream(StorletInputStream* input,
+                                 size_t window_bytes)
+    : input_(input), window_bytes_(window_bytes == 0 ? 1 : window_bytes) {}
 
-bool CsvStreamBatcher::Refill() {
-  if (eof_ && carry_.empty()) return false;
-  buffer_ = std::move(carry_);
-  carry_.clear();
-  cursor_.reset();
-  while (!eof_ && buffer_.size() < options_.window_bytes) {
-    size_t old = buffer_.size();
-    size_t want = options_.window_bytes - old;
-    buffer_.resize(old + want);
-    size_t got = input_->Read(buffer_.data() + old, want);
-    buffer_.resize(old + got);
-    if (got == 0) eof_ = true;
-  }
-  // Cut the window at the last complete record; the tail carries over.
-  // A window with no newline at all keeps growing until one shows up or
-  // the stream ends — a single record is never split.
-  size_t cut;
+CsvRecordCursor* CsvWindowStream::Next() {
+  buffer_.erase(0, window_size_);  // the previous window; its tail stays
+  window_size_ = 0;
+  size_t target = window_bytes_;
   for (;;) {
+    size_t filled = buffer_.size();
+    if (!eof_ && filled < target) {
+      buffer_.resize(target);
+      while (!eof_ && filled < target) {
+        size_t got = input_->Read(buffer_.data() + filled, target - filled);
+        if (got == 0) eof_ = true;
+        filled += got;
+      }
+      buffer_.resize(filled);
+    }
+    // Cut the window at the last complete record; a window with no
+    // newline at all grows until one shows up or the stream ends.
     size_t nl = buffer_.rfind('\n');
     if (nl != std::string::npos) {
-      cut = nl + 1;
+      window_size_ = nl + 1;
       break;
     }
     if (eof_) {
-      cut = buffer_.size();
+      window_size_ = buffer_.size();
       break;
     }
-    size_t old = buffer_.size();
-    buffer_.resize(old + options_.window_bytes);
-    size_t got = input_->Read(buffer_.data() + old, options_.window_bytes);
-    buffer_.resize(old + got);
-    if (got == 0) eof_ = true;
+    target = buffer_.size() + window_bytes_;
   }
-  if (cut < buffer_.size()) {
-    carry_.assign(buffer_, cut, buffer_.size() - cut);
-    buffer_.resize(cut);
-  }
-  if (buffer_.empty()) return Refill();  // e.g. a window of pure carry
-  cursor_ = std::make_unique<CsvRecordCursor>(buffer_);
-  return true;
+  if (window_size_ == 0) return nullptr;
+  cursor_.Reset(std::string_view(buffer_.data(), window_size_));
+  return &cursor_;
 }
+
+CsvStreamBatcher::CsvStreamBatcher(StorletInputStream* input,
+                                   size_t num_fields, CsvBatchOptions options)
+    : num_fields_(num_fields),
+      max_batch_rows_(options.max_batch_rows),
+      windows_(input, options.window_bytes) {}
 
 bool CsvStreamBatcher::Next(RawRecordBatch* batch) {
   batch->num_rows = 0;
   batch->num_fields = num_fields_;
   batch->fields.clear();
   batch->records.clear();
-  while (batch->num_rows < options_.max_batch_rows) {
+  while (batch->num_rows < max_batch_rows_) {
     if (cursor_ == nullptr || !cursor_->Advance()) {
-      // End the batch at the window edge when it already has rows: a
-      // refill would replace the buffer the collected views point into.
+      // End the batch at the window edge when it already has rows: the
+      // next window replaces the buffer the collected views point into.
       if (batch->num_rows > 0) return true;
-      if (!Refill()) return false;
+      cursor_ = windows_.Next();
+      if (cursor_ == nullptr) return false;
       continue;
     }
     ++records_seen_;

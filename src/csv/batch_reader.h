@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,16 +81,24 @@ struct RawFieldCells {
 // tests pin the two together).
 class CsvRecordCursor {
  public:
-  explicit CsvRecordCursor(std::string_view data);
+  explicit CsvRecordCursor(std::string_view data = std::string_view()) {
+    Reset(data);
+  }
+
+  // Rescans for a new window, keeping the scratch buffers' capacity.
+  // Views into the previous window are invalidated.
+  void Reset(std::string_view data);
 
   // Advances to the next non-empty record; false at end of window.
   bool Advance();
 
-  // Field views are valid for the cursor's lifetime (unescaped quoted
-  // fields live in a cursor-owned arena, plain fields in the window).
+  // Field views are valid until the next Reset (unescaped quoted fields
+  // live in a cursor-owned arena, plain fields in the window).
   const std::vector<std::string_view>& fields() const { return fields_; }
   // The CR-stripped raw record bytes (for verbatim pass-through).
   std::string_view record() const { return record_; }
+  // Whether the record holds a '"' (its fields took the unescaping path).
+  bool quoted() const { return quoted_; }
 
  private:
   void ParseQuoted(std::string_view line);
@@ -101,6 +108,7 @@ class CsvRecordCursor {
   size_t token_ = 0;                  // next structural token
   size_t pos_ = 0;                    // start of next record
   std::string_view record_;
+  bool quoted_ = false;
   std::vector<std::string_view> fields_;
   std::vector<uint32_t> commas_;     // scratch: comma offsets of one record
   std::deque<std::string> owned_;    // unescaped quoted fields, per window
@@ -144,11 +152,36 @@ struct RawRecordBatch {
   std::vector<std::string_view> records;
 };
 
-// Batch scanning over a pull-based storlet input stream with a bounded
-// window: bytes are buffered up to window_bytes, the window is cut at the
-// last complete record, and the tail carries into the next window — so
+// Cuts a pull-based storlet input stream into bounded scan windows:
+// bytes are buffered up to window_bytes, the window is cut at the last
+// complete record, and the tail carries into the next window — so
 // records (including quoted fields) are never split however the
-// underlying ByteStream re-chunks the transfer.
+// underlying ByteStream re-chunks the transfer. A window with no newline
+// keeps growing until one shows up or the stream ends. The one window
+// loop behind CsvStreamBatcher and the ETL storlet.
+class CsvWindowStream {
+ public:
+  // `input` is borrowed and must outlive the stream.
+  CsvWindowStream(StorletInputStream* input, size_t window_bytes);
+  // The cursor views buffer_, so the stream stays where it was built.
+  CsvWindowStream(const CsvWindowStream&) = delete;
+  CsvWindowStream& operator=(const CsvWindowStream&) = delete;
+
+  // Scans the next window and returns its cursor, or nullptr once the
+  // stream is exhausted. Invalidates every view into the previous window.
+  CsvRecordCursor* Next();
+
+ private:
+  StorletInputStream* input_;
+  size_t window_bytes_;
+  std::string buffer_;  // the current window, then its carried-over tail
+  size_t window_size_ = 0;  // bytes of buffer_ the current window spans
+  CsvRecordCursor cursor_;
+  bool eof_ = false;
+};
+
+// Batch scanning over a pull-based storlet input stream: CsvWindowStream's
+// windows, collected into batches of well-formed records.
 class CsvStreamBatcher {
  public:
   // `input` is borrowed and must outlive the batcher. `num_fields` is
@@ -166,17 +199,10 @@ class CsvStreamBatcher {
   int64_t records_seen() const { return records_seen_; }
 
  private:
-  // Loads the next window into buffer_ and rebuilds the cursor. False
-  // when the stream is exhausted.
-  bool Refill();
-
-  StorletInputStream* input_;
   size_t num_fields_;
-  CsvBatchOptions options_;
-  std::string buffer_;  // current window
-  std::string carry_;   // partial trailing record awaiting the next window
-  std::unique_ptr<CsvRecordCursor> cursor_;
-  bool eof_ = false;
+  int64_t max_batch_rows_;
+  CsvWindowStream windows_;
+  CsvRecordCursor* cursor_ = nullptr;  // the current window's, or null
   int64_t malformed_ = 0;
   int64_t records_seen_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "csv/etl_storlet.h"
 
 #include "common/strings.h"
+#include "csv/batch_reader.h"
 #include "csv/record_reader.h"
 #include "sql/schema.h"
 
@@ -56,67 +57,75 @@ Status EtlStorlet::Invoke(StorletInputStream& input,
   }
   Schema out_schema((std::vector<Column>(out_columns)));
 
-  CsvRecordParser parser;
-  std::string scratch;
+  // The shared windowed scan. Records are cut at every '\n' with one
+  // trailing '\r' stripped; whitespace-only records are skipped uncounted.
+  CsvWindowStream windows(&input, CsvBatchOptions().window_bytes);
   std::vector<std::string_view> out_fields;
-  std::vector<std::string> trimmed;
+  std::string scratch;
   int64_t rows_in = 0;
   int64_t rows_dropped = 0;
-  while (auto line = input.ReadLine()) {
-    std::string_view record = *line;
-    if (!record.empty() && record.back() == '\r') record.remove_suffix(1);
-    if (Trim(record).empty()) continue;
-    ++rows_in;
-    const std::vector<std::string_view>& fields = parser.Parse(record);
-    if (fields.size() != schema.size()) {
-      ++rows_dropped;
-      if (drop_malformed) continue;
-    }
-    // Validate numeric fields when dropping malformed rows.
-    bool malformed = fields.size() != schema.size();
-    if (!malformed && drop_malformed) {
+  while (CsvRecordCursor* cursor = windows.Next()) {
+    while (cursor->Advance()) {
+      std::string_view record = cursor->record();
+      if (Trim(record).empty()) continue;
+      ++rows_in;
+      // A record of the wrong arity is dropped in either mode: no reader
+      // downstream could parse it.
+      const std::vector<std::string_view>& fields = cursor->fields();
+      if (fields.size() != schema.size()) {
+        ++rows_dropped;
+        continue;
+      }
+      // One pass checks the numeric fields (when dropping malformed rows)
+      // and whether the record can go out as its own bytes: unquoted,
+      // nothing to split, and no field for trim to change.
+      bool verbatim = !cursor->quoted() && split_index < 0;
+      bool malformed = false;
       for (size_t i = 0; i < fields.size(); ++i) {
-        std::string_view field = trim ? Trim(fields[i]) : fields[i];
-        if (field.empty()) continue;  // nulls are fine
-        if (schema.column(i).type == ColumnType::kInt64 &&
-            !ParseInt64(field).ok()) {
-          malformed = true;
-          break;
+        std::string_view field = fields[i];
+        if (trim && !field.empty() &&
+            (IsSpace(field.front()) || IsSpace(field.back()))) {
+          verbatim = false;
+          field = Trim(field);
         }
-        if (schema.column(i).type == ColumnType::kDouble &&
-            !ParseDouble(field).ok()) {
+        if (!drop_malformed || field.empty()) continue;  // nulls are fine
+        const ColumnType type = schema.column(i).type;
+        int64_t i64 = 0;
+        double f64 = 0;
+        if ((type == ColumnType::kInt64 && !ParseInt64Field(field, &i64)) ||
+            (type == ColumnType::kDouble && !ParseDoubleField(field, &f64))) {
           malformed = true;
           break;
         }
       }
-    }
-    if (malformed) {
-      ++rows_dropped;
-      continue;
-    }
-    trimmed.clear();
-    out_fields.clear();
-    // Two passes: first materialize owned strings (trim/split), then build
-    // views — a vector<string> never invalidates its elements' buffers on
-    // push_back of new elements only if reserved; reserve generously.
-    trimmed.reserve(fields.size() + split_names.size());
-    for (size_t i = 0; i < fields.size(); ++i) {
-      std::string_view field = trim ? Trim(fields[i]) : fields[i];
-      if (static_cast<int>(i) == split_index) {
+      if (malformed) {
+        ++rows_dropped;
+        continue;
+      }
+      // Unquoted fields of a '\n'-cut record hold no ',', '"' or '\n', so
+      // WriteCsvRecord would render them back as these very bytes.
+      if (verbatim) {
+        output.WriteLine(record);
+        continue;
+      }
+      out_fields.clear();
+      for (size_t i = 0; i < fields.size(); ++i) {
+        std::string_view field = trim ? Trim(fields[i]) : fields[i];
+        if (static_cast<int>(i) != split_index) {
+          out_fields.push_back(field);
+          continue;
+        }
         std::vector<std::string_view> pieces = Split(field, split_separator);
         for (size_t p = 0; p < split_names.size(); ++p) {
-          trimmed.emplace_back(p < pieces.size()
+          out_fields.push_back(p < pieces.size()
                                    ? (trim ? Trim(pieces[p]) : pieces[p])
                                    : std::string_view());
         }
-      } else {
-        trimmed.emplace_back(field);
       }
+      scratch.clear();
+      WriteCsvRecord(out_fields, &scratch);
+      output.Write(scratch);
     }
-    for (const std::string& s : trimmed) out_fields.push_back(s);
-    scratch.clear();
-    WriteCsvRecord(out_fields, &scratch);
-    output.Write(scratch);
   }
   logger.Emit(StrFormat("etlstorlet: %lld rows in, %lld dropped",
                         static_cast<long long>(rows_in),

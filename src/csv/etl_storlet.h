@@ -17,17 +17,25 @@ namespace scoop {
 //                     (required)
 //   trim            — "true": strip surrounding whitespace from fields
 //                     (default true)
-//   drop_malformed  — "true": drop rows whose field count mismatches the
-//                     schema or whose numeric fields fail to parse
-//                     (default true)
+//   drop_malformed  — "true": also drop rows whose numeric fields fail
+//                     to parse; "false" keeps them (default true). A row
+//                     whose field count mismatches the schema is dropped
+//                     either way: no reader downstream could parse it.
 //   split_column    — name of a column to split into several columns
 //   split_separator — separator used inside split_column (default ";")
 //   split_names     — comma-separated names of the new columns (their
 //                     count defines how many pieces are produced; missing
 //                     pieces become empty fields)
 //
-// The storlet normalizes CRLF line endings and drops blank lines. The
-// resulting schema is attached as response metadata ("schema").
+// The storlet normalizes CRLF line endings and drops blank and
+// whitespace-only lines. It reads its input through the shared windowed
+// CSV scan (CsvWindowStream), so records are cut at every '\n' exactly
+// like the GET storlets' and a quoted field never spans lines. A record
+// that needs no change (no quote, no split column, no field that trim
+// would shorten) is written out as its own bytes; the rest are
+// re-rendered with WriteCsvRecord. The resulting schema and the number
+// of dropped rows are attached as response metadata ("schema",
+// "rows-dropped").
 class EtlStorlet : public Storlet {
  public:
   static constexpr char kName[] = "etlstorlet";

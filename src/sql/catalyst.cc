@@ -90,18 +90,13 @@ bool TryConvertToSourceFilter(const Expr& expr, const Schema& schema,
     *out = SourceFilter::Not(std::move(child));
     return true;
   }
-  // IS [NOT] NULL on a bare column pushes as the null-test filter — for
-  // string columns only: a numeric field that fails to parse types to
-  // NULL compute-side but is a non-empty raw field at the store, so the
-  // two evaluators would disagree on such (malformed) rows.
+  // IS [NOT] NULL on a bare column of any type pushes as the null-test
+  // filter: the store reads a field the way the scan types it, so an
+  // empty or unparseable numeric field is null on both sides.
   if (expr.kind == Expr::Kind::kFunc &&
       (expr.name == "is_null" || expr.name == "is_not_null") &&
       expr.args.size() == 1 && expr.args[0]->kind == Expr::Kind::kColumn) {
-    int idx = schema.IndexOf(expr.args[0]->name);
-    if (idx < 0 ||
-        schema.column(static_cast<size_t>(idx)).type != ColumnType::kString) {
-      return false;
-    }
+    if (schema.IndexOf(expr.args[0]->name) < 0) return false;
     *out = SourceFilter::IsNull(ToLower(expr.args[0]->name),
                                 /*negated=*/expr.name == "is_not_null");
     return true;

@@ -222,13 +222,15 @@ TEST(AppendCsvFieldTest, RoundTripsThroughParser) {
   for (size_t i = 0; i < 6; ++i) EXPECT_EQ(parsed[i], fields[i]) << i;
 }
 
-// Runs `storlet` over `data` from a string stream into a string sink;
-// returns the output and, when asked, the storlet's metadata.
+// Runs `storlet` over `data` from a string stream, served `chunk_size`
+// bytes per read, into a string sink; returns the output and, when
+// asked, the storlet's metadata.
 Result<std::string> RunStorlet(Storlet& storlet, const std::string& data,
                                const StorletParams& params,
                                std::map<std::string, std::string>* metadata =
-                                   nullptr) {
-  StringByteStream source(data);
+                                   nullptr,
+                               size_t chunk_size = kDefaultStreamChunk) {
+  StringByteStream source(data, chunk_size);
   StorletInputStream in(&source);
   std::string output;
   StringByteSink sink(&output);
@@ -395,9 +397,10 @@ class EtlStorletTest : public ::testing::Test {
  protected:
   Result<std::string> Run(const std::string& data, StorletParams params,
                           std::map<std::string, std::string>* metadata =
-                              nullptr) {
+                              nullptr,
+                          size_t chunk_size = kDefaultStreamChunk) {
     EtlStorlet storlet;
-    return RunStorlet(storlet, data, params, metadata);
+    return RunStorlet(storlet, data, params, metadata, chunk_size);
   }
 };
 
@@ -421,6 +424,150 @@ TEST_F(EtlStorletTest, KeepsMalformedWhenAskedTo) {
                   {"drop_malformed", "false"}});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(*out, "x,Paris\n");
+}
+
+TEST_F(EtlStorletTest, WrongArityRowIsDroppedAndCountedOnceInBothModes) {
+  // drop_malformed=false keeps a row whose numeric field fails to parse,
+  // never one of the wrong arity; either way that row counts once.
+  for (const char* drop : {"true", "false"}) {
+    SCOPED_TRACE(std::string("drop_malformed=") + drop);
+    std::map<std::string, std::string> metadata;
+    auto out = Run("1,Paris,x\n2,Nice\n",
+                   {{"schema", "vid:int64,city:string"},
+                    {"drop_malformed", drop}},
+                   &metadata);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(*out, "2,Nice\n");
+    EXPECT_EQ(metadata.at("rows-dropped"), "1");
+  }
+}
+
+TEST_F(EtlStorletTest, OutputBytesPinnedForEveryInputShape) {
+  const std::string meters = "vid:int64,city:string,load:double";
+  const std::string stamps = "vid:int64,stamp:string";
+  const StorletParams split = {{"schema", stamps},
+                               {"split_column", "stamp"},
+                               {"split_names", "day,time"}};
+  StorletParams split_untrimmed = split;
+  split_untrimmed["trim"] = "false";
+  const std::string numerics =
+      "+1,.5\n-3,3.\n1e3,1e3\n7,inf\n 12 , 12 \nx,1\n2,x\n,\n3.,-3\n";
+  struct Case {
+    const char* name;
+    std::string input;
+    StorletParams params;
+    std::string expected;
+    const char* rows_dropped;
+    const char* schema = nullptr;  // the output schema, when not the input's
+  };
+  std::vector<Case> cases = {
+      {"quoted commas and doubled quotes",
+       "1,\"Rotter,dam\",2.5\n2,\"say \"\"hi\"\"\",3\n3,\"plain\",4\n"
+       "4,\" Nice \",5\n5,\"Ni\"ce,6\n",
+       {{"schema", meters}},
+       "1,\"Rotter,dam\",2.5\n2,\"say \"\"hi\"\"\",3\n3,plain,4\n4,Nice,5\n"
+       "5,Ni,6\n",
+       "0"},
+      {"a quoted newline cuts the record like any other",
+       "1,\"Ni\nce\",2\n3,Lyon,4\n",
+       {{"schema", meters}},
+       "3,Lyon,4\n",
+       "2"},
+      {"quoted fields untrimmed",
+       "4,\" Nice \",5\n",
+       {{"schema", meters}, {"trim", "false"}},
+       "4, Nice ,5\n",
+       "0"},
+      {"blank, whitespace-only and CRLF lines, a lone trailing CR pair",
+       "1,Paris,1.5\r\n\n   \n\t \r\n\r\n2,Nice,2\r\n\r\r",
+       {{"schema", meters}},
+       "1,Paris,1.5\n2,Nice,2\n",
+       "0"},
+      {"unterminated last line", "1,Paris,1.5\n2,Nice,2",
+       {{"schema", meters}}, "1,Paris,1.5\n2,Nice,2\n", "0"},
+      {"unterminated last line ending in CR", "1,Paris,1.5\n3,Lyon,3\r",
+       {{"schema", meters}}, "1,Paris,1.5\n3,Lyon,3\n", "0"},
+      {"padded fields, trim on",
+       " 1 , Paris ,\t2.5\n1,Paris\r,2\n2,Nice,\v3 \n",
+       {{"schema", meters}},
+       "1,Paris,2.5\n1,Paris,2\n2,Nice,3\n",
+       "0"},
+      {"padded fields, trim off",
+       " 1 , Paris ,\t2.5\n1,Paris\r,2\n2,Nice,\v3 \n",
+       {{"schema", meters}, {"trim", "false"}},
+       " 1 , Paris ,\t2.5\n1,Paris\r,2\n2,Nice,\v3 \n",
+       "0"},
+      {"whitespace-only numeric field, trim off",
+       "1,Paris, \n2,Nice,2\n",
+       {{"schema", meters}, {"trim", "false"}},
+       "2,Nice,2\n",
+       "1"},
+      {"numeric corners, drop_malformed on", numerics,
+       {{"schema", "vid:int64,load:double"}},
+       "+1,.5\n-3,3.\n7,inf\n12,12\n,\n", "4"},
+      {"numeric corners and a wrong-arity row, drop_malformed off",
+       numerics + "9\n",
+       {{"schema", "vid:int64,load:double"}, {"drop_malformed", "false"}},
+       "+1,.5\n-3,3.\n1e3,1e3\n7,inf\n12,12\nx,1\n2,x\n,\n3.,-3\n", "1"},
+      {"split column",
+       "1,2015-01-01;12:30\n2, 2015-01-02 ; 08:00 \n3,only\n4,a;b;c\n"
+       "5,\"a,b;c\"\nx,1;2\n",
+       split,
+       "1,2015-01-01,12:30\n2,2015-01-02,08:00\n3,only,\n4,a,b\n"
+       "5,\"a,b\",c\n",
+       "1", "vid:int64,day:string,time:string"},
+      {"split column untrimmed", "2, 2015-01-02 ; 08:00 \n", split_untrimmed,
+       "2, 2015-01-02 , 08:00 \n", "0", "vid:int64,day:string,time:string"},
+  };
+
+  // Records straddling the 256 KiB scan window, and one record longer
+  // than the window, among clean, padded, quoted and malformed rows.
+  Case windows{"records across scan windows", "", {{"schema", meters}}, "",
+               nullptr};
+  int64_t dropped = 0;
+  for (int i = 0; windows.input.size() < 600 * 1024; ++i) {
+    const std::string vid = std::to_string(i);
+    if (i == 4000) {
+      const std::string row = vid + "," + std::string(300 * 1024, 'a') + ",4";
+      windows.input += row + "\n";
+      windows.expected += row + "\n";
+    }
+    switch (i % 4) {
+      case 0:
+        windows.input += vid + ",Paris," + vid + ".5\n";
+        windows.expected += vid + ",Paris," + vid + ".5\n";
+        break;
+      case 1:
+        windows.input += " " + vid + " , Nice ,1\r\n";
+        windows.expected += vid + ",Nice,1\n";
+        break;
+      case 2:
+        windows.input += vid + ",\"Rotter,dam\",2\n";
+        windows.expected += vid + ",\"Rotter,dam\",2\n";
+        break;
+      default:
+        windows.input += "x" + vid + ",Lyon,3\n";
+        ++dropped;
+        break;
+    }
+  }
+  const std::string windows_dropped = std::to_string(dropped);
+  windows.rows_dropped = windows_dropped.c_str();
+  cases.push_back(windows);
+
+  for (const Case& c : cases) {
+    for (size_t chunk : {size_t{7}, kDefaultStreamChunk}) {
+      SCOPED_TRACE(std::string(c.name) + ", " + std::to_string(chunk) +
+                   "-byte chunks");
+      std::map<std::string, std::string> metadata;
+      auto out = Run(c.input, c.params, &metadata, chunk);
+      ASSERT_TRUE(out.ok()) << out.status();
+      EXPECT_EQ(*out, c.expected);
+      EXPECT_EQ(metadata.at("rows-dropped"), c.rows_dropped);
+      EXPECT_EQ(metadata.at("schema"),
+                c.schema != nullptr ? c.schema : c.params.at("schema"));
+    }
+  }
 }
 
 TEST_F(EtlStorletTest, SplitsColumn) {

@@ -264,18 +264,11 @@ TEST(CatalystTest, PushesDesugaredPostfixForms) {
         "(or (eq city \"Paris\") (eq city \"Nice\"))");
   check("SELECT vid FROM t WHERE city IS NOT NULL", "(notnull city)");
   check("SELECT vid FROM t WHERE city IS NULL", "(isnull city)");
-}
-
-TEST(CatalystTest, IsNullOnNumericColumnStaysResidual) {
-  // A malformed numeric field is NULL compute-side but a non-empty raw
-  // field at the store; pushing the test would change results.
-  Schema schema = TestSchema();
-  auto stmt = ParseSql("SELECT vid FROM t WHERE vid IS NULL");
-  ASSERT_TRUE(stmt.ok());
-  auto extraction = ExtractPushdown(*stmt, schema);
-  ASSERT_TRUE(extraction.ok());
-  EXPECT_TRUE(extraction->pushed_filter.IsTrue());
-  EXPECT_EQ(extraction->residual_conjuncts.size(), 1u);
+  // On a numeric column too: the store types a raw field the way the
+  // scan does, so an empty or unparseable field is null on both sides.
+  check("SELECT vid FROM t WHERE vid IS NULL", "(isnull vid)");
+  check("SELECT vid FROM t WHERE vid IS NOT NULL", "(notnull vid)");
+  check("SELECT vid FROM t WHERE load IS NOT NULL", "(notnull load)");
 }
 
 // Property: the pushed-filter kernel over both of its readers (raw CSV
@@ -311,6 +304,9 @@ TEST(FilterConsistencyProperty, StoreAndComputeAgree) {
       // Null and empty strings.
       "city IS NULL", "city IS NOT NULL", "city = ''", "city < 'P'",
       "city LIKE '%'",
+      // Null tests on numeric columns: an empty or unparseable field
+      // ("7x") is null on both sides.
+      "vid IS NULL", "vid IS NOT NULL", "load IS NULL", "load IS NOT NULL",
   };
   auto leaf = [&]() -> std::string {
     switch (rng.NextBounded(8)) {

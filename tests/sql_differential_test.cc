@@ -20,7 +20,9 @@
 #include "common/strings.h"
 #include "csv/batch_reader.h"
 #include "scoop/scoop.h"
+#include "sql/catalyst.h"
 #include "sql/executor.h"
+#include "sql/parser.h"
 #include "workload/generator.h"
 
 namespace scoop {
@@ -229,6 +231,14 @@ struct FuzzQuery {
   bool pushes_first_value = false;
 };
 
+// Residual predicates: true on every row (so they change no answer)
+// but non-convertible, which disqualifies aggregate pushdown and forces
+// the select-only fallback. ResidualPredicatesStayResidual holds them so.
+constexpr const char* kResidualPredicates[] = {
+    "vid = vid OR vid IS NULL",
+    "SUBSTRING(date, 0, 4) IS NOT NULL OR SUBSTRING(date, 0, 4) IS NULL",
+};
+
 FuzzQuery GenerateQuery(uint64_t seed) {
   std::mt19937_64 rng(seed);
   auto pick = [&](int n) { return static_cast<int>(rng() % n); };
@@ -250,13 +260,6 @@ FuzzQuery GenerateQuery(uint64_t seed) {
           "%'",
       "index BETWEEN -10 AND " + std::to_string(pick(5000)),
   };
-  // Residual predicates: true on every row (so they change no answer)
-  // but non-convertible, which disqualifies aggregate pushdown and
-  // forces the select-only fallback.
-  std::vector<std::string> residual = {
-      "vid IS NOT NULL",
-      "sumHP IS NOT NULL OR sumHP IS NULL",
-  };
 
   std::string where;
   int num_preds = pick(3);
@@ -266,8 +269,9 @@ FuzzQuery GenerateQuery(uint64_t seed) {
   }
   bool add_residual = pick(5) == 0;
   if (add_residual) {
-    where += (where.empty() ? "" : " AND ") +
-             residual[pick(static_cast<int>(residual.size()))];
+    where += std::string(where.empty() ? "" : " AND ") +
+             kResidualPredicates[pick(
+                 static_cast<int>(std::size(kResidualPredicates)))];
   }
   if (!where.empty()) where = " WHERE " + where;
 
@@ -348,6 +352,18 @@ FuzzQuery GenerateQuery(uint64_t seed) {
     out.sql += " HAVING count(*) > 0";
   }
   return out;
+}
+
+// A residual predicate the catalyst learned to push would silently stop
+// the fuzzer from exercising the select-only fallback.
+TEST(SqlDifferentialPoolTest, ResidualPredicatesStayResidual) {
+  const Schema schema = GridPocketGenerator::MeterSchema();
+  for (const char* text : kResidualPredicates) {
+    auto expr = ParseExpression(text);
+    ASSERT_TRUE(expr.ok()) << text;
+    SourceFilter filter;
+    EXPECT_FALSE(TryConvertToSourceFilter(**expr, schema, &filter)) << text;
+  }
 }
 
 TEST_F(SqlDifferentialTest, RandomizedThreeModeDifferential) {
@@ -466,7 +482,10 @@ TEST_F(SqlDifferentialTest, CornerSchedule) {
 // does: "1.5" there is null, and integers past 2^53 compare exactly, not
 // as rounded doubles. A double literal reaches the storlet exactly, not
 // rounded to six digits, and stays a double even when it is integral.
-// Each query must keep the same rows, pushdown on or off.
+// An empty or unparseable field is null on both sides, so a null test on
+// the numeric column is pushed too, and an aggregate behind it still
+// ships partial states. Each query must keep the same rows, pushdown on
+// or off.
 TEST(PushdownTypingTest, NumericFiltersMatchThePlainScan) {
   SwiftConfig config;
   config.num_proxies = 1;
@@ -482,7 +501,7 @@ TEST(PushdownTypingTest, NumericFiltersMatchThePlainScan) {
   ASSERT_TRUE(session.client().CreateContainer("ids").ok());
   const std::string csv =
       "1,a,1234567\n1.5,b,1234568\n2,c,1234571\n9007199254740993,d,0\n"
-      "-9223372036854775808,e,0\n";
+      "-9223372036854775808,e,0\n,f,0\n";
   ASSERT_TRUE(session.client().PutObject("ids", "i-0", csv, {}).ok());
   auto schema = Schema::FromSpec("vid:int64,name:string,v:double");
   ASSERT_TRUE(schema.ok()) << schema.status();
@@ -496,7 +515,7 @@ TEST(PushdownTypingTest, NumericFiltersMatchThePlainScan) {
   };
   const Case cases[] = {
       {"vid > 1", "c,d"},
-      {"NOT (vid > 1)", "a,b,e"},
+      {"NOT (vid > 1)", "a,b,e,f"},
       {"vid > 9007199254740992", "d"},
       // A double literal compares as a double on both sides, however
       // integral it looks: 9007199254740993 rounds to the literal.
@@ -507,6 +526,8 @@ TEST(PushdownTypingTest, NumericFiltersMatchThePlainScan) {
       {"vid > -1", "a,c,d"},
       {"vid > -9223372036854775808", "a,c,d"},
       {"vid = -9223372036854775808", "e"},
+      {"vid IS NULL", "b,f"},
+      {"vid IS NOT NULL", "a,c,d,e"},
   };
   for (const Case& c : cases) {
     for (const char* table : {"idsPush", "idsPlain"}) {
@@ -523,6 +544,20 @@ TEST(PushdownTypingTest, NumericFiltersMatchThePlainScan) {
                 std::string(table) == "idsPush");
     }
   }
+
+  Counter* partial_aggs =
+      (*cluster)->metrics().GetCounter("pushdown.partial_aggs");
+  const int64_t partials_before = partial_aggs->value();
+  for (const char* table : {"idsPush", "idsPlain"}) {
+    SCOPED_TRACE(table);
+    auto outcome = session.Sql(StrFormat(
+        "SELECT count(*) FROM %s WHERE vid IS NOT NULL", table));
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    ASSERT_EQ(outcome->table.rows.size(), 1u);
+    EXPECT_EQ(outcome->table.rows[0][0].ToString(), "4");
+  }
+  EXPECT_GT(partial_aggs->value(), partials_before)
+      << "the null test kept the aggregate from being pushed";
 }
 
 }  // namespace
